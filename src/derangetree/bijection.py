@@ -1,28 +1,47 @@
-"""The recursive correspondence between derangements and marked trees.
+"""The correspondence between derangements and marked trees.
 
 ``forward`` maps a derangement of {0, ..., n-1} to an increasing tree of
 size n with a marked vertex of rank 1; ``inverse`` recovers the unique
-preimage.  Both directions recurse on n by peeling the largest label off
-the input.  ``CaseTag`` names the construction case that fires, and the two
+preimage.  ``CaseTag`` names the construction case that fires, and the two
 classifiers expose the case analysis for either side.
 
-Construction sketch for a derangement p, writing top = n - 1:
+Construction sketch for a derangement p on a label set S, writing
+top = max S:
 
 * top in a cycle of length >= 3: delete top, map the smaller derangement,
   then hang top under v = p^(-1)(top).  The mark stays put unless v was the
   only leaf child of the mark (C1cII), in which case v becomes the mark.
-* top in a 2-cycle with j: drop that cycle, map the remaining derangement
-  (order-relabeled to size n-2), and restore the original labels.  With
-  mark k < j it is enough to hang j under k and top under j (C2b).  With
-  k > j, ``case2a_restructure`` first inserts j on the root-to-k path and
-  pulls subtrees under j until the walk from j meets k before any other
-  rank-1 vertex; then top is hung under j (C2a).  Either way j is the mark.
+* top in a 2-cycle with j: drop that cycle and map the remaining
+  derangement.  With mark k < j it is enough to hang j under k and top
+  under j (C2b).  With k > j, ``case2a_restructure`` first inserts j on the
+  root-to-k path and pulls subtrees under j until the walk from j meets k
+  before any other rank-1 vertex; then top is hung under j (C2a).  Either
+  way j is the mark.
+* |S| = 2 and |S| = 3 are the base cases, decided by the order of labels.
+
+The construction recurses on n, but it only ever compares labels, so a
+smaller level can keep its labels instead of being renumbered onto
+0..m-1.  Both directions therefore run as two loops over one mutable
+structure.  ``forward`` peels top labels off the cycles, recording per
+level the label that went and its anchor v or partner j, then grows the
+tree back bottom up.  ``inverse`` peels top labels off the tree into a
+list of cycle splices, then applies them bottom up.  The input is checked
+once, at entry, and one tree or one permutation is built, on exit.
+
+No rank table is kept: the construction only asks whether a vertex is a
+leaf (rank 0), has a leaf child (rank 1) or neither (rank >= 2), which the
+vertex's children tell.  Nor is the mark re-checked per level, because no
+case can leave the mark without a leaf child.  In ``forward`` each level
+hangs the fresh top under the new mark, keeps the old mark after seeing a
+leaf child under it (C1cI), or leaves the mark's children alone (C1b);
+``inverse`` argues its cases in its docstring.  The one ``MarkedTree``
+built on exit checks the last mark.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cycles import CycleDecomposition
 from .errors import DomainError, InternalInvariantError
@@ -90,11 +109,56 @@ class Relabeling:
         return f"Relabeling({self._labels!r})"
 
 
-_BASE2_TREE = MarkedTree(IncreasingTree({1: 0}), 0)
-_CHAIN3_TREE = MarkedTree(IncreasingTree({1: 0, 2: 1}), 1)
-_STAR3_TREE = MarkedTree(IncreasingTree({1: 0, 2: 0}), 0)
-_CHAIN3_PERM = CycleDecomposition([(0, 1, 2)])
-_STAR3_PERM = CycleDecomposition([(0, 2, 1)])
+class _Draft:
+    """A mutable tree under construction: ``parent`` maps every vertex but
+    the root to its parent, ``children`` every vertex to a set of children.
+    Nothing is validated here; ``freeze`` hands the result to the
+    validating ``IncreasingTree`` constructor."""
+
+    __slots__ = ("parent", "children")
+
+    def __init__(self, parent: dict[int, int], children: dict[int, set[int]]):
+        self.parent = parent
+        self.children = children
+
+    @classmethod
+    def of(cls, t: IncreasingTree) -> "_Draft":
+        return cls({v: t.parent_of(v) for v in t.labels[1:]},
+                   {v: set(t.children(v)) for v in t.labels})
+
+    def freeze(self) -> IncreasingTree:
+        return IncreasingTree(self.parent, self.children)
+
+    def has_leaf_child(self, x: int) -> bool:
+        """Whether ``x`` has rank 1."""
+        children = self.children
+        return any(not children[c] for c in children[x])
+
+    def first_in_walk(self, start: int, wanted: Callable[[int], bool]) -> int | None:
+        """The first vertex of ``IncreasingTree.depth_search_walk(start)``
+        that is ``wanted``, or None."""
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if wanted(x):
+                return x
+            stack.extend(sorted(self.children[x]))
+        return None
+
+    def add_leaf(self, v: int, p: int) -> None:
+        self.parent[v] = p
+        self.children[p].add(v)
+        self.children[v] = set()
+
+    def drop_leaf(self, v: int) -> None:
+        self.children[self.parent.pop(v)].remove(v)
+        del self.children[v]
+
+    def move(self, v: int, p: int) -> None:
+        """Move the subtree rooted at ``v`` under ``p``."""
+        self.children[self.parent[v]].remove(v)
+        self.parent[v] = p
+        self.children[p].add(v)
 
 
 def _check_derangement(p: CycleDecomposition) -> None:
@@ -110,34 +174,55 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
     """Map a derangement to its marked tree, along with the case that fired."""
     _check_derangement(p)
     n = p.size
-    if n == 2:
-        return _BASE2_TREE, CaseTag.BASE2
-    if n == 3:
-        return (_CHAIN3_TREE if p == _CHAIN3_PERM else _STAR3_TREE), CaseTag.BASE3
+    succ = {x: p.image(x) for x in range(n)}
+    pred = {b: a for a, b in succ.items()}
+    # top down: (top, anchor v or partner j, whether top was in a 2-cycle)
+    levels: list[tuple[int, int, bool]] = []
     top = n - 1
-    j = p.two_cycle_partner(top)
-    if j is None:
-        v = p.preimage(top)
-        sub = forward(p.remove(top))
-        t, k = sub.tree, sub.mark
-        grown = t.with_leaf(top, v)
-        if v == k:
-            return MarkedTree(grown, k), CaseTag.C1A
-        if v in t.children(k):
-            if grown.rank(k) == 1:
-                return MarkedTree(grown, k), CaseTag.C1C_I
-            return MarkedTree(grown, v), CaseTag.C1C_II
-        return MarkedTree(grown, k), CaseTag.C1B
-    reduced = p.remove_cycle_of(top)
-    relab = Relabeling(reduced.ground_set)
-    sub = forward(relab.compress(reduced))
-    t = relab.expand_tree(sub.tree)
-    k = relab.backward(sub.mark)
-    if k < j:
-        grown = t.with_leaf(j, k).with_leaf(top, j)
-        return MarkedTree(grown, j), CaseTag.C2B
-    restructured = case2a_restructure(t, j, k)
-    return MarkedTree(restructured.with_leaf(top, j), j), CaseTag.C2A
+    while len(succ) > 3:
+        while top not in succ:
+            top -= 1
+        after, before = succ.pop(top), pred.pop(top)
+        if after == before:
+            del succ[after], pred[after]
+            levels.append((top, after, True))
+        else:
+            succ[before], pred[after] = after, before
+            levels.append((top, before, False))
+        top -= 1
+    a, b, *rest = sorted(succ)
+    tree = _Draft({b: a}, {a: {b}, b: set()})
+    mark, tag = a, CaseTag.BASE2
+    if rest:
+        tag = CaseTag.BASE3
+        if succ[a] == b:  # (a b c): the chain, marked in the middle
+            tree.add_leaf(rest[0], b)
+            mark = b
+        else:  # (a c b): the star, marked at the root
+            tree.add_leaf(rest[0], a)
+    # bottom up
+    for top, x, paired in reversed(levels):
+        if paired:
+            if mark < x:
+                tree.add_leaf(x, mark)
+                tag = CaseTag.C2B
+            else:
+                _restructure(tree, x, mark)
+                tag = CaseTag.C2A
+            tree.add_leaf(top, x)
+            mark = x
+            continue
+        tree.add_leaf(top, x)
+        if x == mark:
+            tag = CaseTag.C1A
+        elif tree.parent.get(x) == mark:
+            if tree.has_leaf_child(mark):
+                tag = CaseTag.C1C_I
+            else:
+                tag, mark = CaseTag.C1C_II, x
+        else:
+            tag = CaseTag.C1B
+    return MarkedTree(tree.freeze(), mark), tag
 
 
 def forward(p: CycleDecomposition) -> MarkedTree:
@@ -149,7 +234,7 @@ def classify_derangement(p: CycleDecomposition) -> CaseTag:
     """The construction case governing ``forward(p)``.
 
     The C1 subcases depend on the recursively built tree, so this performs
-    the recursion rather than inspecting ``p`` alone.
+    the whole construction rather than inspecting ``p`` alone.
     """
     return forward_with_case(p)[1]
 
@@ -173,20 +258,34 @@ def case2a_restructure(t: IncreasingTree, j: int, k: int) -> IncreasingTree:
         raise DomainError(f"label {j} already in tree")
     if t.rank(k) != 1:
         raise DomainError(f"vertex {k} has rank {t.rank(k)}, need rank 1")
-    path = t.path_from_root(k)
-    target = path[sum(1 for a in path if a < j)]
-    t = t.insert_above(j, target)
-    cur = target
-    while cur != k:
-        ch = t.children(cur)
-        if len(ch) == 1 and t.rank(cur) >= 2:
-            cur = ch[0]
-            continue
-        c = t.child_toward(cur, k)
-        if t.rank(cur) == 1 or c != max(ch):
-            t = t.reparented(c, j)
-        cur = c
-    return t
+    tree = _Draft.of(t)
+    _restructure(tree, j, k)
+    return tree.freeze()
+
+
+def _restructure(tree: _Draft, j: int, k: int) -> None:
+    """``case2a_restructure`` in place, for j not in the tree, j < k and
+    k of rank 1.
+
+    Each move detaches the next path vertex from the current one, which
+    the descent then leaves behind, so the vertices still to be visited
+    keep their children and the ranks of the original tree serve.  A
+    vertex with one child is not a leaf and has a non-leaf child, so it has
+    rank >= 2 and keeps the subtree.
+    """
+    path = [k]
+    while (above := tree.parent.get(path[-1])) is not None and above > j:
+        path.append(above)
+    path.reverse()
+    if above is None:  # j becomes the root
+        tree.parent[path[0]] = j
+        tree.children[j] = {path[0]}
+    else:
+        tree.add_leaf(j, above)
+        tree.move(path[0], j)
+    for cur, c in zip(path, path[1:]):
+        if tree.has_leaf_child(cur) or c != max(tree.children[cur]):
+            tree.move(c, j)
 
 
 def classify_tree(mt: MarkedTree) -> CaseTag:
@@ -199,92 +298,120 @@ def classify_tree(mt: MarkedTree) -> CaseTag:
     (C1a) or none is (C2a).  Ranks are evaluated in ``mt`` itself.
     """
     n = mt.size
-    t, m = mt.tree, mt.mark
-    if not t.is_standard:
+    if not mt.tree.is_standard:
         raise DomainError("classification needs ground set 0..n-1")
     if n == 2:
         return CaseTag.BASE2
     if n == 3:
         return CaseTag.BASE3
-    top = n - 1
-    v = t.parent_of(top)
-    kids = t.children(m)
+    return _classify(_Draft.of(mt.tree), mt.mark, n - 1)
+
+
+def _classify(tree: _Draft, m: int, top: int) -> CaseTag:
+    """``classify_tree`` for mark ``m`` of rank 1 and largest label ``top``,
+    on at least four vertices."""
+    v = tree.parent[top]
+    kids = tree.children[m]
     if v == m:
-        if kids == (top,):
-            return CaseTag.C2B if t.rank(t.parent_of(m)) == 1 else CaseTag.C1C_II
-        if any(t.rank(c) == 0 for c in kids if c != top):
+        if len(kids) == 1:
+            return CaseTag.C2B if tree.has_leaf_child(tree.parent[m]) else CaseTag.C1C_II
+        if any(not tree.children[c] for c in kids if c != top):
             return CaseTag.C1A
         return CaseTag.C2A
-    if v in kids:
+    if tree.parent.get(v) == m:
         return CaseTag.C1C_I
     return CaseTag.C1B
 
 
-def _rejoin_anchor(tree: IncreasingTree, start: int, mover: int) -> int | None:
-    """First walk vertex under ``start`` able to adopt the subtree at ``mover``:
-    rank 1, or rank >= 2 with some child greater than ``mover``."""
-    for x in tree.depth_search_walk(start):
-        r = tree.rank(x)
-        if r == 1 or (r >= 2 and any(c > mover for c in tree.children(x))):
-            return x
-    return None
+def _undo_restructure(tree: _Draft, m: int) -> int:
+    """Undo ``_restructure`` that inserted ``m``, once top is deleted from
+    under it; returns the old mark.
+
+    The walk from ``m`` locates the old mark k (first rank-1 vertex after
+    ``m``), each child of ``m`` but the smallest goes back under the first
+    vertex in its next smaller sibling's walk that can adopt it (rank 1, or
+    rank >= 2 with some child greater than it), and ``m`` is spliced out in
+    favor of its remaining child.
+    """
+    # no child of m is a leaf (C2a), so m itself is not wanted
+    k = tree.first_in_walk(m, tree.has_leaf_child)
+    if k is None:
+        raise InternalInvariantError(f"no rank-1 vertex after {m} in the walk from it")
+    movers = sorted(tree.children[m])
+    for i in range(len(movers) - 1, 0, -1):
+        mover = movers[i]
+        anchor = tree.first_in_walk(movers[i - 1], lambda x: tree.has_leaf_child(x)
+                                    or any(c > mover for c in tree.children[x]))
+        if anchor is None or anchor >= mover:
+            raise InternalInvariantError(
+                f"no valid reattachment point for {mover} below {movers[i - 1]}")
+        tree.move(mover, anchor)
+    if m in tree.parent:
+        tree.move(movers[0], tree.parent[m])
+        tree.drop_leaf(m)
+    else:  # m is the root
+        del tree.parent[movers[0]], tree.children[m]
+    return k
 
 
 def inverse(mt: MarkedTree) -> CycleDecomposition:
     """Recover the unique derangement with ``forward(p) == mt``.
 
-    The C1 cases delete top = n - 1, recurse, and splice top back into the
-    recovered cycles right after its parent.  C2b deletes top and the mark,
-    re-marks the mark's parent, recurses at size n - 2 (order-relabeled)
-    and appends the 2-cycle (mark, top).  C2a first undoes the regrouping:
-    the walk from the mark locates the old mark k (first rank-1 vertex
-    after it), each non-leaf child of the mark goes back under the first
-    anchor found in its smaller sibling's walk, and the mark is spliced out
-    in favor of its smallest child before recursing as in C2b.
+    The C1 cases delete top = n - 1 and splice it back into the recovered
+    cycles right after its parent (C1cII: after the mark, re-marking the
+    mark's parent).  C2b deletes top and the mark, re-marks the mark's
+    parent, and adds the 2-cycle (mark, top).  C2a first undoes the
+    regrouping (``_undo_restructure``), then proceeds as in C2b with the
+    old mark.
+
+    Each new mark has a leaf child: C1a, C1b and C1cI keep the mark and a
+    leaf child of it other than top; C1cII and C2b re-mark the parent of a
+    leaf; C2a re-marks a vertex found by its leaf child, which the
+    regrouping leaves in place.
     """
-    n = mt.size
-    t, m = mt.tree, mt.mark
+    t = mt.tree
     if not t.is_standard:
         raise DomainError("inverse needs ground set 0..n-1")
-    if n == 2:
-        return CycleDecomposition([(0, 1)])
-    if n == 3:
-        if mt == _CHAIN3_TREE:
-            return _CHAIN3_PERM
-        if mt == _STAR3_TREE:
-            return _STAR3_PERM
-        raise InternalInvariantError(f"unrecognized size-3 marked tree {mt.serialize()}")
-    tag = classify_tree(mt)
+    n = t.size
+    tree = _Draft.of(t)
+    mark = mt.mark
+    # top down: (top, anchor or partner, whether the splice is a 2-cycle)
+    splices: list[tuple[int, int, bool]] = []
     top = n - 1
-    v = t.parent_of(top)
-    if tag in (CaseTag.C1A, CaseTag.C1B, CaseTag.C1C_I):
-        sub = MarkedTree(t.without_leaf(top), m)
-        return inverse(sub).insert_after(v, top)
-    if tag is CaseTag.C1C_II:
-        sub = MarkedTree(t.without_leaf(top), t.parent_of(m))
-        return inverse(sub).insert_after(m, top)
-    if tag is CaseTag.C2B:
-        base = t.without_leaf(top).without_leaf(m)
-        relab = Relabeling(base.labels)
-        sub = MarkedTree(relab.compress_tree(base), relab.forward(t.parent_of(m)))
-        return relab.expand(inverse(sub)).with_cycle((m, top))
-    # C2a: undo the regrouping, then proceed as in C2b
-    stripped = t.without_leaf(top)
-    walk = stripped.depth_search_walk(m)
-    k_old = next((x for x in walk[1:] if stripped.rank(x) == 1), None)
-    if k_old is None:
-        raise InternalInvariantError(
-            f"no rank-1 vertex after {m} in the walk of {stripped.serialize()}")
-    movers = stripped.children(m)
-    work = stripped
-    for i in range(len(movers) - 1, 0, -1):
-        mover = movers[i]
-        anchor = _rejoin_anchor(work, movers[i - 1], mover)
-        if anchor is None or anchor >= mover:
+    while len(tree.children) > 3:
+        while top not in tree.children:
+            top -= 1
+        tag = _classify(tree, mark, top)
+        v = tree.parent[top]
+        tree.drop_leaf(top)
+        if tag is CaseTag.C1C_II:
+            splices.append((top, mark, False))
+            mark = tree.parent[mark]
+        elif tag is CaseTag.C2B:
+            splices.append((top, mark, True))
+            m, mark = mark, tree.parent[mark]
+            tree.drop_leaf(m)
+        elif tag is CaseTag.C2A:
+            splices.append((top, mark, True))
+            mark = _undo_restructure(tree, mark)
+        else:
+            splices.append((top, v, False))
+        top -= 1
+    a, b, *rest = sorted(tree.children)
+    succ = {a: b, b: a}
+    if rest:
+        c = rest[0]
+        if tree.parent[c] == b and mark == b:
+            succ = {a: b, b: c, c: a}
+        elif tree.parent[c] == a and mark == a:
+            succ = {a: c, c: b, b: a}
+        else:
             raise InternalInvariantError(
-                f"no valid reattachment point for {mover} below {movers[i - 1]}")
-        work = work.reparented(mover, anchor)
-    work = work.splice_out(m)
-    relab = Relabeling(work.labels)
-    sub = MarkedTree(relab.compress_tree(work), relab.forward(k_old))
-    return relab.expand(inverse(sub)).with_cycle((m, top))
+                f"unrecognized size-3 marked tree {tree.freeze().serialize()};mark={mark}")
+    # bottom up
+    for top, x, paired in reversed(splices):
+        if paired:
+            succ[x], succ[top] = top, x
+        else:
+            succ[x], succ[top] = top, succ[x]
+    return CycleDecomposition.from_word([succ[x] for x in range(n)])

@@ -2,7 +2,8 @@
 
 Subcommands: map, unmap, tree2perm, perm2tree, enumerate, verify, stats,
 render.  Exit codes: 0 success, 1 usage error, 2 invalid input, 3
-verification failure.
+verification failure or internal invariant violation, each failure with
+a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .cycles import parse_cycles
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
     case_counts,
+    check_verification_size,
     gen_derangements,
     gen_increasing_trees,
     gen_marked_trees,
@@ -23,7 +25,7 @@ from .enumeration import (
     recurrence_check,
     verify_bijection,
 )
-from .errors import DomainError, FormatError, VerificationLimitError
+from .errors import DomainError, FormatError, InternalInvariantError, VerificationLimitError
 from .render import to_dot
 from .trees import IncreasingTree, MarkedTree, format_word, parse_tree_text, parse_word
 
@@ -79,6 +81,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_size < 2:
         raise DomainError("--max-size must be at least 2")
+    check_verification_size(args.max_size, args.size_limit)
     reports = [verify_bijection(m, size_limit=args.size_limit)
                for m in range(2, args.max_size + 1)]
     if args.json:
@@ -90,8 +93,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats_rank_counts(args) -> int:
+    table = rank_count_table(args.max_size, args.k)
     print("n k count")
-    for row in rank_count_table(args.max_size, args.k):
+    for row in table:
         print(f"{row.n} {row.k} {row.count}")
     return EXIT_OK
 
@@ -194,6 +198,9 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainError, FormatError, VerificationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except InternalInvariantError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def main() -> None:

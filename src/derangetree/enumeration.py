@@ -84,6 +84,14 @@ def rank_count_table(max_n: int, k: int = 1) -> list[RankCountRow]:
     return [RankCountRow(m, k, count_rank_k(m, k)) for m in range(1, max_n + 1)]
 
 
+def check_verification_size(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> None:
+    """Refuse a verification of size ``n`` past ``min(size_limit, HARD_SIZE_LIMIT)``."""
+    ceiling = min(size_limit, HARD_SIZE_LIMIT)
+    if n > ceiling:
+        raise VerificationLimitError(
+            f"n={n} exceeds the verification ceiling {ceiling}; refusing to run")
+
+
 @dataclass
 class VerificationReport:
     """Outcome of one exhaustive bijection check.
@@ -144,10 +152,7 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    ceiling = min(size_limit, HARD_SIZE_LIMIT)
-    if n > ceiling:
-        raise VerificationLimitError(
-            f"n={n} exceeds the verification ceiling {ceiling}; refusing to run")
+    check_verification_size(n, size_limit)
     start = time.perf_counter()
     failures: list[str] = []
     histogram: Counter[CaseTag] = Counter()

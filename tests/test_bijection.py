@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,11 @@ GOLDEN = [
     ("(0 2 5 1 6 8)(3 7)(4 9)", "size=10;parents=0,0,1,3,2,1,3,6,4;mark=4"),
 ]
 
+# sha256 over f"{p.serialize()} {mt.serialize()} {tag.value}\n" for every
+# derangement p of size 2..8 in generator order, (mt, tag) = forward_with_case(p).
+# Any other bijection would pass verify_bijection too; this fixes the exact map.
+GOLDEN_MAP_SHA256 = "f5c0efec987f571954d368b370a1cd90628088d9e72bbbf10e0bcfeb98c919f7"
+
 CLASSIFY_EXAMPLES = [
     ("(0 5 3)(1 4 2)", CaseTag.C1A),
     ("(0 5 2 3)(1 4)", CaseTag.C1B),
@@ -56,6 +63,15 @@ def test_forward_golden(cycles, expected):
 @pytest.mark.parametrize("cycles,expected", GOLDEN)
 def test_inverse_golden(cycles, expected):
     assert inverse(MarkedTree.parse(expected)) == parse_cycles(cycles)
+
+
+def test_golden_map_digest():
+    digest = hashlib.sha256()
+    for n in range(2, 9):
+        for p in gen_derangements(n):
+            mt, tag = forward_with_case(p)
+            digest.update(f"{p.serialize()} {mt.serialize()} {tag.value}\n".encode())
+    assert digest.hexdigest() == GOLDEN_MAP_SHA256
 
 
 @pytest.mark.parametrize("cycles,tag", CLASSIFY_EXAMPLES)

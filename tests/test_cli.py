@@ -1,6 +1,8 @@
 import json
 import re
 
+import derangetree.cli
+from derangetree import InternalInvariantError
 from derangetree.cli import run
 
 
@@ -89,6 +91,16 @@ def test_verify_respects_ceiling(capsys):
     assert "ceiling" in err
 
 
+def test_verify_refuses_before_running_any_size(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(derangetree.cli, "verify_bijection", lambda n, **kw: ran.append(n))
+    assert run(["verify", "--max-size", "9", "--json"]) == 2
+    assert ran == []
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: n=9 exceeds the verification ceiling 8; refusing to run\n"
+
+
 def test_stats_rank_counts(capsys):
     assert run(["stats", "rank-counts", "--max-size", "4", "--k", "1"]) == 0
     lines = out_of(capsys)[0].splitlines()
@@ -172,6 +184,24 @@ def test_bad_tree_text_exits_2(capsys):
 def test_bad_mark_exits_2(capsys):
     assert run(["unmap", "size=3;parents=0,1;mark=2"]) == 2
     assert "rank" in out_of(capsys)[1]
+
+
+def test_negative_rank_prints_nothing_and_exits_2(capsys):
+    assert run(["stats", "rank-counts", "--max-size", "3", "--k", "-1"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: k must be nonnegative\n"
+
+
+def test_internal_error_is_one_line_exit_3(capsys, monkeypatch):
+    def broken(p):
+        raise InternalInvariantError("injected")
+
+    monkeypatch.setattr(derangetree.cli, "forward", broken)
+    assert run(["map", "--size", "2", "(0 1)"]) == 3
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: internal invariant violated: injected\n"
 
 
 def test_bad_word_exits_2(capsys):

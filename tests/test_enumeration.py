@@ -2,19 +2,24 @@ import json
 
 import pytest
 
+import derangetree.enumeration
 from derangetree import (
     CaseTag,
     DomainError,
+    InternalInvariantError,
     VerificationLimitError,
     case_counts,
     count_rank_k,
+    forward_with_case,
     gen_derangements,
     gen_increasing_trees,
     gen_marked_trees,
+    inverse,
     rank_count_table,
     recurrence_check,
     verify_bijection,
 )
+from derangetree.cli import run
 from util import factorial, subfactorial
 
 
@@ -114,6 +119,71 @@ def test_verify_refuses_past_ceiling():
         verify_bijection(10, size_limit=10)  # hard cap is 9
     with pytest.raises(DomainError):
         verify_bijection(1)
+
+
+# Broken stand-ins for forward_with_case / inverse at size FAULT_N, each
+# paired with the failure text verify_bijection must record for it.
+FAULT_N = 5
+FIRST, SECOND = list(gen_derangements(FAULT_N))[:2]
+FAULT_KEY = forward_with_case(FIRST)[0].serialize()
+OUTSIDE = next(gen_derangements(FAULT_N - 1))
+
+
+def _swap_images(p):
+    return forward_with_case({FIRST: SECOND, SECOND: FIRST}.get(p, p))
+
+
+def _collide(p):
+    return forward_with_case(FIRST if p == SECOND else p)
+
+
+def _raise_internal(p):
+    if p == FIRST:
+        raise InternalInvariantError("injected")
+    return forward_with_case(p)
+
+
+def _outside_marked_set(p):
+    # the tree of a smaller size is a valid MarkedTree, but not one of size FAULT_N
+    return forward_with_case(OUTSIDE if p == FIRST else p)
+
+
+def _wrong_preimage(mt):
+    p = inverse(mt)
+    return SECOND if p == FIRST else p
+
+
+FAULTS = {
+    "swap two images": ("forward_with_case", _swap_images, [
+        f"inverse(forward({FIRST.serialize()})) = {SECOND.serialize()}",
+        f"inverse(forward({SECOND.serialize()})) = {FIRST.serialize()}"]),
+    "two inputs, one image": ("forward_with_case", _collide, [
+        f"{SECOND.serialize()} and {FIRST.serialize()} map to the same tree {FAULT_KEY}",
+        "is not the image of any derangement"]),
+    "internal error": ("forward_with_case", _raise_internal, [
+        f"{FIRST.serialize()}: InternalInvariantError: injected",
+        "is not the image of any derangement"]),
+    "image outside the marked set": ("forward_with_case", _outside_marked_set, [
+        f"inverse(forward({FIRST.serialize()})) = {OUTSIDE.serialize()}",
+        f"{FAULT_KEY} is not the image of any derangement"]),
+    "wrong preimage": ("inverse", _wrong_preimage, [
+        f"inverse(forward({FIRST.serialize()})) = {SECOND.serialize()}",
+        f"forward(inverse({FAULT_KEY})) != {FAULT_KEY}"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_verify_records_injected_fault(fault, monkeypatch, capsys):
+    name, broken, expected = FAULTS[fault]
+    monkeypatch.setattr(derangetree.enumeration, name, broken)
+    report = verify_bijection(FAULT_N)
+    assert not report.ok
+    for text in expected:
+        assert any(text in f for f in report.round_trip_failures), (text, report.round_trip_failures)
+    assert run(["verify", "--max-size", str(FAULT_N)]) == 3
+    out = capsys.readouterr().out
+    assert f"n={FAULT_N} failure " in out
+    assert "FAIL" in out
 
 
 def test_report_text_and_dict():

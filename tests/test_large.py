@@ -1,0 +1,75 @@
+"""Round trips far past the sizes the exhaustive checks reach.
+
+``forward`` and ``inverse`` run as loops, so their depth is not bounded by
+the interpreter's recursion limit; each input here has one level per label
+or per pair of labels.
+"""
+
+import random
+
+import pytest
+
+from derangetree import CaseTag, CycleDecomposition, MarkedTree, forward, forward_with_case, inverse
+from derangetree.cli import run
+
+N = 5000
+
+
+def random_derangement(rng, n):
+    while True:
+        word = list(range(n))
+        rng.shuffle(word)
+        if all(word[i] != i for i in range(n)):
+            return CycleDecomposition.from_word(word)
+
+
+def chain(n):
+    return MarkedTree.parse(f"size={n};parents={','.join(map(str, range(n - 1)))};mark={n - 2}")
+
+
+SHAPES = {
+    "single cycle": [tuple(range(N))],
+    "nested pairs": [(i, N - 1 - i) for i in range(N // 2)],
+    "adjacent pairs": [(i, i + 1) for i in range(0, N, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_round_trip_deep_shapes(name):
+    p = CycleDecomposition(SHAPES[name])
+    mt = forward(p)
+    assert mt.size == N
+    assert inverse(mt) == p
+
+
+def test_nested_pairs_restructure_at_every_level():
+    # peeling (0, m-1) off the pairs (i, m-1-i) leaves the same shape on
+    # 1..m-2, so the level of size m in the size-N input fires the case of
+    # the size-m input; checked for the small sizes and for N itself
+    for m in [*range(4, 64, 2), N]:
+        p = CycleDecomposition([(i, m - 1 - i) for i in range(m // 2)])
+        assert forward_with_case(p)[1] is CaseTag.C2A
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_round_trip_deep_random(seed):
+    p = random_derangement(random.Random(seed), N)
+    assert inverse(forward(p)) == p
+
+
+def test_round_trip_deep_chain():
+    mt = chain(N)
+    p = inverse(mt)
+    assert p.size == N and p.is_derangement
+    assert forward(p) == mt
+
+
+def test_cli_map_and_unmap_deep(capsys):
+    n = 1100
+    cycle = "(" + " ".join(map(str, range(n))) + ")"
+    assert run(["map", "--size", str(n), cycle]) == 0
+    tree_text = capsys.readouterr().out.strip()
+    assert run(["unmap", tree_text]) == 0
+    assert capsys.readouterr().out.strip() == cycle
+    assert run(["unmap", chain(n).serialize()]) == 0
+    assert forward(CycleDecomposition.parse(capsys.readouterr().out.strip())) == chain(n)
