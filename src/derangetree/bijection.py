@@ -123,8 +123,8 @@ class _Draft:
 
     @classmethod
     def of(cls, t: IncreasingTree) -> "_Draft":
-        return cls({v: t.parent_of(v) for v in t.labels[1:]},
-                   {v: set(t.children(v)) for v in t.labels})
+        # t's own maps, read without a checked accessor call per vertex
+        return cls(dict(t._parent), {v: set(c) for v, c in t._children.items()})
 
     def freeze(self) -> IncreasingTree:
         return IncreasingTree(self.parent, self.children)
@@ -174,8 +174,8 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
     """Map a derangement to its marked tree, along with the case that fired."""
     _check_derangement(p)
     n = p.size
-    succ = {x: p.image(x) for x in range(n)}
-    pred = {b: a for a, b in succ.items()}
+    # p's own maps, read without a checked ``image`` call per label
+    succ, pred = dict(p._succ), dict(p._pred)
     # top down: (top, anchor v or partner j, whether top was in a 2-cycle)
     levels: list[tuple[int, int, bool]] = []
     top = n - 1

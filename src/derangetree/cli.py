@@ -111,8 +111,9 @@ def _cmd_stats_cases(args) -> int:
 
 
 def _cmd_stats_recurrence(args) -> int:
+    rows = recurrence_check(args.max_size)
     print("n count residual[(n-1)*(a(n-1)+a(n-2))] residual[n*a(n-1)+n*a(n-2)]")
-    for row in recurrence_check(args.max_size):
+    for row in rows:
         rd = "-" if row.residual_derangement is None else str(row.residual_derangement)
         rv = "-" if row.residual_variant is None else str(row.residual_variant)
         print(f"{row.n} {row.count} {rd} {rv}")

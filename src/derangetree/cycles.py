@@ -24,35 +24,32 @@ class CycleDecomposition:
     True
     """
 
-    __slots__ = ("_cycles", "_ground", "_succ", "_pred", "_cycle_of")
+    __slots__ = ("_cycles", "_ground", "_succ", "_pred")
 
     def __init__(self, cycles: Iterable[Sequence[int]]):
-        seen: set[int] = set()
+        given: list[tuple[int, ...]] = []
         canon: list[tuple[int, ...]] = []
-        for cyc in cycles:
-            cyc = tuple(int(x) for x in cyc)
-            if not cyc:
-                raise DomainError("empty cycle")
-            for x in cyc:
-                if x < 0:
-                    raise DomainError(f"negative label: {x}")
-                if x in seen:
-                    raise DomainError(f"repeated label: {x}")
-                seen.add(x)
-            low = cyc.index(min(cyc))
-            canon.append(cyc[low:] + cyc[:low])
-        canon.sort(key=lambda c: c[0])
-        self._cycles = tuple(canon)
-        self._ground = tuple(sorted(seen))
         succ: dict[int, int] = {}
-        cycle_of: dict[int, int] = {}
-        for i, cyc in enumerate(canon):
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                succ[a] = b
-                cycle_of[a] = i
+        try:
+            for cyc in cycles:
+                cyc = tuple(map(int, cyc))
+                given.append(cyc)
+                if cyc:
+                    low = cyc.index(min(cyc))
+                    cyc = cyc[low:] + cyc[:low]
+                    succ.update(zip(cyc, cyc[1:] + cyc[:1]))
+                canon.append(cyc)
+        except Exception:
+            _check_labels(given)  # a fault in an earlier cycle is reported first
+            raise
+        # a repeated label leaves succ short of one entry per label
+        if len(succ) != sum(map(len, given)) or not all(given) or (succ and min(succ) < 0):
+            _check_labels(given)
+        canon.sort()  # the cycles are disjoint, so this orders them by first label
+        self._cycles = tuple(canon)
+        self._ground = tuple(sorted(succ))
         self._succ = succ
-        self._pred = {b: a for a, b in succ.items()}
-        self._cycle_of = cycle_of
+        self._pred = dict(zip(succ.values(), succ))
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "CycleDecomposition":
@@ -108,10 +105,8 @@ class CycleDecomposition:
     def two_cycle_partner(self, x: int) -> int | None:
         """The other element of x's cycle if that cycle has length 2, else None."""
         self._require(x)
-        cyc = self._cycles[self._cycle_of[x]]
-        if len(cyc) != 2:
-            return None
-        return cyc[0] if cyc[1] == x else cyc[1]
+        y = self._succ[x]
+        return y if y != x and self._succ[y] == x else None
 
     def remove(self, x: int) -> "CycleDecomposition":
         """Excise ``x`` from its cycle; a cycle shrinking to nothing is dropped."""
@@ -129,8 +124,7 @@ class CycleDecomposition:
     def remove_cycle_of(self, x: int) -> "CycleDecomposition":
         """Drop the whole cycle containing ``x``."""
         self._require(x)
-        idx = self._cycle_of[x]
-        return CycleDecomposition(c for i, c in enumerate(self._cycles) if i != idx)
+        return CycleDecomposition(c for c in self._cycles if x not in c)
 
     def insert_after(self, anchor: int, new: int) -> "CycleDecomposition":
         """Splice ``new`` into anchor's cycle as its successor.
@@ -178,6 +172,21 @@ class CycleDecomposition:
     @classmethod
     def parse(cls, text: str) -> "CycleDecomposition":
         return parse_cycles(text)
+
+
+def _check_labels(cycles: Iterable[tuple[int, ...]]) -> None:
+    """Raise ``DomainError`` for the first empty cycle, negative label or
+    repeated label, scanning cycle by cycle and label by label."""
+    seen: set[int] = set()
+    for cyc in cycles:
+        if not cyc:
+            raise DomainError("empty cycle")
+        for x in cyc:
+            if x < 0:
+                raise DomainError(f"negative label: {x}")
+            if x in seen:
+                raise DomainError(f"repeated label: {x}")
+            seen.add(x)
 
 
 def parse_cycles(text: str, *, size: int | None = None,

@@ -193,6 +193,13 @@ def test_negative_rank_prints_nothing_and_exits_2(capsys):
     assert err == "error: k must be nonnegative\n"
 
 
+def test_short_recurrence_prints_nothing_and_exits_2(capsys):
+    assert run(["stats", "recurrence", "--max-size", "2"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: max_n must be at least 3\n"
+
+
 def test_internal_error_is_one_line_exit_3(capsys, monkeypatch):
     def broken(p):
         raise InternalInvariantError("injected")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +30,17 @@ def test_negative_and_empty():
         CycleDecomposition([(-1, 0)])
     with pytest.raises(DomainError):
         CycleDecomposition([()])
+
+
+@pytest.mark.parametrize("cycles, text", [
+    ([(3, 1, 3), (1, 2)], "repeated label: 3"),
+    ([(0, 4), (2, 5), (5, 1)], "repeated label: 5"),
+    ([(0, 1), (2, -1, 1)], "negative label: -1"),
+    ([(0, 1), (), (-2, 3)], "empty cycle"),
+])
+def test_first_offence_is_named(cycles, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        CycleDecomposition(cycles)
 
 
 def test_image_preimage():

@@ -20,7 +20,7 @@ from derangetree import (
     verify_bijection,
 )
 from derangetree.cli import run
-from util import factorial, subfactorial
+from util import factorial, fixed_point_free_words, subfactorial
 
 
 # -- generators --
@@ -49,6 +49,17 @@ def test_derangement_counts():
     assert len(list(gen_derangements(6))) == 265
     for n in range(1, 8):
         assert len(list(gen_derangements(n))) == subfactorial(n)
+
+
+def test_derangements_match_filtered_permutations():
+    for n in range(1, 9):
+        words = [tuple(p.image(i) for i in range(n)) for p in gen_derangements(n)]
+        assert words == fixed_point_free_words(n)
+
+
+def test_gen_derangements_rejects_zero():
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        next(gen_derangements(0))
 
 
 def test_derangements_are_derangements():
@@ -167,8 +178,7 @@ FAULTS = {
         f"inverse(forward({FIRST.serialize()})) = {OUTSIDE.serialize()}",
         f"{FAULT_KEY} is not the image of any derangement"]),
     "wrong preimage": ("inverse", _wrong_preimage, [
-        f"inverse(forward({FIRST.serialize()})) = {SECOND.serialize()}",
-        f"forward(inverse({FAULT_KEY})) != {FAULT_KEY}"]),
+        f"inverse(forward({FIRST.serialize()})) = {SECOND.serialize()}"]),
 }
 
 

@@ -5,6 +5,8 @@ definitions, not by calling the code under test, so that each check has
 two genuinely different routes to the same answer.
 """
 
+import itertools
+
 from derangetree import CaseTag, IncreasingTree, MarkedTree
 
 
@@ -52,6 +54,13 @@ def subfactorial(n: int) -> int:
     for m in range(2, n + 1):
         a, b = b, (m - 1) * (a + b)
     return b
+
+
+def fixed_point_free_words(n: int) -> list[tuple[int, ...]]:
+    """One-line words of the derangements of 0..n-1 in lexicographic order,
+    by filtering every permutation for fixed points."""
+    return [w for w in itertools.permutations(range(n))
+            if all(x != i for i, x in enumerate(w))]
 
 
 def factorial(n: int) -> int:
