@@ -108,44 +108,10 @@ class CycleDecomposition:
         y = self._succ[x]
         return y if y != x and self._succ[y] == x else None
 
-    def remove(self, x: int) -> "CycleDecomposition":
-        """Excise ``x`` from its cycle; a cycle shrinking to nothing is dropped."""
-        self._require(x)
-        cycles = []
-        for cyc in self._cycles:
-            if x in cyc:
-                rest = tuple(y for y in cyc if y != x)
-                if rest:
-                    cycles.append(rest)
-            else:
-                cycles.append(cyc)
-        return CycleDecomposition(cycles)
-
     def remove_cycle_of(self, x: int) -> "CycleDecomposition":
         """Drop the whole cycle containing ``x``."""
         self._require(x)
         return CycleDecomposition(c for c in self._cycles if x not in c)
-
-    def insert_after(self, anchor: int, new: int) -> "CycleDecomposition":
-        """Splice ``new`` into anchor's cycle as its successor.
-
-        The old successor of ``anchor`` becomes the successor of ``new``;
-        this is the inverse of ``remove(new)``.
-        """
-        self._require(anchor)
-        if new in self._succ:
-            raise DomainError(f"label {new} already present")
-        cycles = []
-        for cyc in self._cycles:
-            if anchor in cyc:
-                at = cyc.index(anchor)
-                cyc = cyc[: at + 1] + (new,) + cyc[at + 1 :]
-            cycles.append(cyc)
-        return CycleDecomposition(cycles)
-
-    def with_cycle(self, cycle: Sequence[int]) -> "CycleDecomposition":
-        """Add a new cycle on labels disjoint from the current ground set."""
-        return CycleDecomposition(self._cycles + (tuple(cycle),))
 
     def relabel(self, mapping: Union[Mapping[int, int], Callable[[int], int]]) -> "CycleDecomposition":
         """Apply ``mapping`` to every label, preserving cycle structure."""
@@ -242,21 +208,16 @@ def parse_cycles(text: str, *, size: int | None = None,
         i = close + 1
     if not cycles:
         raise FormatError("column 1: expected '(' but found end of input")
-    seen: set[int] = set()
-    for cyc in cycles:
-        for x in cyc:
-            if x in seen:
-                raise DomainError(f"repeated label: {x}")
-            seen.add(x)
+    perm = CycleDecomposition(cycles)  # names the first repeated label
     if size is not None:
-        for x in sorted(seen):
+        ground = perm.ground_set
+        for x in ground:
             if x >= size:
                 raise DomainError(f"label {x} out of range for size {size}")
-        for x in range(size):
-            if x not in seen:
-                raise DomainError(f"missing label: {x}")
+        if len(ground) < size:
+            raise DomainError(f"missing label: {min(set(range(size)).difference(ground))}")
     if require_derangement:
-        for cyc in cycles:
+        for cyc in cycles:  # input order, not canonical order
             if len(cyc) == 1:
                 raise DomainError(f"fixed point: {cyc[0]}")
-    return CycleDecomposition(cycles)
+    return perm

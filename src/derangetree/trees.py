@@ -3,8 +3,7 @@
 An increasing tree is a rooted nonplanar tree whose distinct integer labels
 increase along every downward path, so the root always carries the smallest
 label.  Trees normally live on the ground set {0, ..., n-1}; arbitrary
-sorted ground sets are supported because several constructions delete
-labels and keep working with the remainder.
+ground sets back the ``labels=...;edges=...`` text form.
 
 Walking a tree depth first, always descending to the greatest unvisited
 child, and dropping the leading root visit yields a permutation word over
@@ -148,30 +147,6 @@ class IncreasingTree:
             stack.extend(self._children[v])
         return tuple(out)
 
-    def path_from_root(self, v: int) -> tuple[int, ...]:
-        """The increasing path root, ..., v."""
-        self._require(v)
-        path = [v]
-        while (p := self._parent.get(path[-1])) is not None:
-            path.append(p)
-        return tuple(reversed(path))
-
-    def subtree_labels(self, v: int) -> frozenset[int]:
-        return frozenset(self.depth_search_walk(v))
-
-    def child_toward(self, ancestor: int, descendant: int) -> int:
-        """The child of ``ancestor`` whose subtree contains ``descendant``."""
-        self._require(ancestor)
-        v = descendant
-        self._require(v)
-        while True:
-            p = self._parent.get(v)
-            if p is None:
-                raise DomainError(f"{descendant} is not below {ancestor}")
-            if p == ancestor:
-                return v
-            v = p
-
     def to_word(self) -> PermWord:
         """The walk with the root visit dropped: a permutation of 1..n-1.
 
@@ -204,68 +179,6 @@ class IncreasingTree:
             parent[x] = stack[-1]
             stack.append(x)
         return cls(parent, labels=range(n))
-
-    # -- structural edits (each returns a new tree) --
-
-    def with_leaf(self, label: int, parent_label: int) -> "IncreasingTree":
-        """Attach fresh vertex ``label`` as a child of ``parent_label``."""
-        if label in self._label_set:
-            raise DomainError(f"label {label} already in tree")
-        self._require(parent_label)
-        grown = dict(self._parent)
-        grown[label] = parent_label
-        return IncreasingTree(grown, self._labels + (label,))
-
-    def without_leaf(self, v: int) -> "IncreasingTree":
-        """Remove leaf vertex ``v``."""
-        self._require(v)
-        if self._children[v]:
-            raise DomainError(f"vertex {v} is not a leaf")
-        if v == self.root:
-            raise DomainError("cannot delete the root")
-        shrunk = dict(self._parent)
-        del shrunk[v]
-        return IncreasingTree(shrunk, (x for x in self._labels if x != v))
-
-    def insert_above(self, label: int, below: int) -> "IncreasingTree":
-        """Splice fresh vertex ``label`` in directly above ``below``.
-
-        ``below``'s old parent (if any) becomes the parent of ``label``;
-        when ``below`` is the root, ``label`` becomes the new root.
-        """
-        if label in self._label_set:
-            raise DomainError(f"label {label} already in tree")
-        self._require(below)
-        spliced = dict(self._parent)
-        old = spliced.pop(below, None)
-        if old is not None:
-            spliced[label] = old
-        spliced[below] = label
-        return IncreasingTree(spliced, self._labels + (label,))
-
-    def reparented(self, v: int, new_parent: int) -> "IncreasingTree":
-        """Move the whole subtree rooted at ``v`` under ``new_parent``."""
-        self._require(v)
-        self._require(new_parent)
-        if v == self.root:
-            raise DomainError("cannot move the root")
-        moved = dict(self._parent)
-        moved[v] = new_parent
-        return IncreasingTree(moved, self._labels)
-
-    def splice_out(self, v: int) -> "IncreasingTree":
-        """Remove ``v``, promoting its single child into its place."""
-        self._require(v)
-        ch = self._children[v]
-        if len(ch) != 1:
-            raise DomainError(f"vertex {v} has {len(ch)} children, need exactly 1")
-        child = ch[0]
-        spliced = dict(self._parent)
-        del spliced[child]
-        p = spliced.pop(v, None)
-        if p is not None:
-            spliced[child] = p
-        return IncreasingTree(spliced, (x for x in self._labels if x != v))
 
     def relabel(self, mapping: Union[Mapping[int, int], Callable[[int], int]]) -> "IncreasingTree":
         """Apply ``mapping`` to every label; the result must still be increasing."""

@@ -12,6 +12,7 @@ def test_canonical_rotation_and_order():
     assert p.cycles == ((0, 3, 5), (1, 4, 2))
     assert p.serialize() == "(0 3 5)(1 4 2)"
     assert p.ground_set == (0, 1, 2, 3, 4, 5)
+    assert CycleDecomposition([(2, 1), (3, 0)]).cycles == ((0, 3), (1, 2))
 
 
 def test_rotation_preserves_cyclic_order():
@@ -66,42 +67,9 @@ def test_two_cycle_partner():
     assert p.two_cycle_partner(8) is None
 
 
-def test_remove_element():
-    p = parse_cycles("(0 5 3)(1 4 2)")
-    assert p.remove(5).serialize() == "(0 3)(1 4 2)"
-    # removing from a 2-cycle leaves a fixed point
-    assert parse_cycles("(0 1)(2 3)").remove(1).serialize() == "(0)(2 3)"
-    # removing a fixed point drops its cycle
-    assert parse_cycles("(0)(1 2)").remove(0).serialize() == "(1 2)"
-    with pytest.raises(DomainError):
-        p.remove(9)
-
-
 def test_remove_cycle_of():
     p = parse_cycles("(0 9)(1 3 5 2 6 8)(4 7)")
     assert p.remove_cycle_of(9).serialize() == "(1 3 5 2 6 8)(4 7)"
-
-
-def test_insert_after_splices_successor():
-    p = parse_cycles("(0 1 2)")
-    assert p.insert_after(0, 5).serialize() == "(0 5 1 2)"
-    assert p.insert_after(2, 5).serialize() == "(0 1 2 5)"
-    with pytest.raises(DomainError):
-        p.insert_after(0, 1)  # already present
-    with pytest.raises(DomainError):
-        p.insert_after(9, 5)
-
-
-def test_insert_after_undoes_remove():
-    p = parse_cycles("(0 5 3)(1 4 2)")
-    assert p.remove(5).insert_after(p.preimage(5), 5) == p
-
-
-def test_with_cycle():
-    p = parse_cycles("(1 2)")
-    assert p.with_cycle((0, 3)).serialize() == "(0 3)(1 2)"
-    with pytest.raises(DomainError):
-        p.with_cycle((2, 3))
 
 
 def test_relabel_order_isomorphism():
@@ -153,11 +121,18 @@ def test_parse_compact_is_per_digit():
 def test_parse_fixed_point_message():
     with pytest.raises(DomainError, match="fixed point: 0"):
         parse_cycles("(0)(1 2)", require_derangement=True)
+    # the first fixed point in input order, not in canonical order
+    with pytest.raises(DomainError, match="^fixed point: 3$"):
+        parse_cycles("(3)(1)", require_derangement=True)
 
 
 def test_parse_repeated_label():
     with pytest.raises(DomainError, match="repeated label: 1"):
         parse_cycles("(0 1)(1 2)")
+    # a repeat is reported before any size check
+    for text, size in [("(0 5 5)", 3), ("(5)(0 5)", 2)]:
+        with pytest.raises(DomainError, match="^repeated label: 5$"):
+            parse_cycles(text, size=size)
 
 
 def test_parse_size_checks():

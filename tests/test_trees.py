@@ -178,6 +178,8 @@ def test_aggregate_leaf_count_small():
 def test_parent_must_be_smaller():
     with pytest.raises(DomainError):
         IncreasingTree({1: 2, 2: 0})
+    with pytest.raises(DomainError, match="^parent 3 of vertex 2 must be smaller$"):
+        IncreasingTree({1: 0, 2: 3, 3: 2})  # 2 and 3 form a cycle
 
 
 def test_missing_parent_entry():
@@ -226,61 +228,6 @@ def test_parent_of_and_contains():
         EXAMPLE_TREE.parent_of(9)
 
 
-def test_path_and_child_toward():
-    assert EXAMPLE_TREE.path_from_root(7) == (0, 4, 7)
-    assert EXAMPLE_TREE.child_toward(0, 7) == 4
-    with pytest.raises(DomainError):
-        EXAMPLE_TREE.child_toward(4, 3)
-
-
-def test_subtree_labels():
-    assert EXAMPLE_TREE.subtree_labels(4) == {4, 5, 7}
-
-
-# -- structural edits --
-
-def test_with_leaf():
-    t = IncreasingTree({1: 0}).with_leaf(2, 1)
-    assert t == IncreasingTree({1: 0, 2: 1})
-    with pytest.raises(DomainError):
-        t.with_leaf(2, 0)
-    with pytest.raises(DomainError):
-        t.with_leaf(3, 9)
-
-
-def test_without_leaf():
-    t = IncreasingTree({1: 0, 2: 1})
-    assert t.without_leaf(2) == IncreasingTree({1: 0})
-    with pytest.raises(DomainError):
-        t.without_leaf(1)  # not a leaf
-    with pytest.raises(DomainError):
-        IncreasingTree({}, labels=[0]).without_leaf(0)  # the root
-
-
-def test_insert_above_root_and_edge():
-    chain = IncreasingTree({2: 1}, labels=[1, 2])
-    assert chain.insert_above(0, 1) == IncreasingTree({1: 0, 2: 1})
-    t = IncreasingTree({1: 0, 3: 1})
-    assert t.insert_above(2, 3) == IncreasingTree({1: 0, 2: 1, 3: 2})
-
-
-def test_reparented():
-    t = IncreasingTree({1: 0, 2: 1, 3: 2})
-    assert t.reparented(2, 0) == IncreasingTree({1: 0, 2: 0, 3: 2})
-    with pytest.raises(DomainError):
-        t.reparented(0, 1)
-    with pytest.raises(DomainError):
-        t.reparented(2, 3)  # would break the increasing property
-
-
-def test_splice_out():
-    t = IncreasingTree({1: 0, 2: 1, 3: 2})
-    assert t.splice_out(1) == IncreasingTree({2: 0, 3: 2})
-    assert t.splice_out(0) == IncreasingTree({2: 1, 3: 2}, labels=[1, 2, 3])
-    with pytest.raises(DomainError):
-        t.splice_out(3)  # leaf, no child to promote
-
-
 def test_relabel():
     t = IncreasingTree({2: 1, 3: 1}, labels=[1, 2, 3])
     assert t.relabel({1: 0, 2: 1, 3: 2}) == IncreasingTree({1: 0, 2: 0})
@@ -298,6 +245,8 @@ def test_serialize_standard():
 def test_serialize_generalized():
     t = IncreasingTree({2: 1, 5: 2}, labels=[1, 2, 5])
     assert t.serialize() == "labels=1,2,5;edges=2:1,5:2"
+    assert IncreasingTree({2: 1, 3: 2}, labels=[1, 2, 3]) == IncreasingTree.parse(
+        "labels=1,2,3;edges=2:1,3:2")
 
 
 def test_parse_round_trip():
