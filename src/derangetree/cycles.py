@@ -214,8 +214,9 @@ def parse_cycles(text: str, *, size: int | None = None,
         for x in ground:
             if x >= size:
                 raise DomainError(f"label {x} out of range for size {size}")
-        if len(ground) < size:
-            raise DomainError(f"missing label: {min(set(range(size)).difference(ground))}")
+        if len(ground) < size:  # sorted and inside range(size): the first gap is missing
+            gap = next((i for i, x in enumerate(ground) if i != x), len(ground))
+            raise DomainError(f"missing label: {gap}")
     if require_derangement:
         for cyc in cycles:  # input order, not canonical order
             if len(cyc) == 1:

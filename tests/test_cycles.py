@@ -139,6 +139,9 @@ def test_parse_size_checks():
     parse_cycles("(0 1)(2 3)", size=4)
     with pytest.raises(DomainError, match="missing label: 2"):
         parse_cycles("(0 1)", size=4)
+    for text, size, gap in [("(1 2)", 3, 0), ("(0 2)(3 4)", 5, 1), ("(0 1)", 10**12, 2)]:
+        with pytest.raises(DomainError, match=f"^missing label: {gap}$"):
+            parse_cycles(text, size=size)
     with pytest.raises(DomainError, match="out of range"):
         parse_cycles("(0 7)", size=4)
 

@@ -1,13 +1,18 @@
 """The public names and the attributes that outside tooling relies on.
 
-``bench/run.py --trace 1`` wraps the functions and methods listed in
-``TRACED`` by name, looking each up in its owner's own namespace, so
-deleting or renaming one breaks the benchmark even when every other test
-still passes.
+``bench/run.py --trace 1`` wraps functions and methods of the package by
+name, so deleting or renaming one breaks the benchmark even when every
+other test still passes.  The check installs that tracer itself, so it
+follows whatever ``install_tracer`` names.
 """
 
+import sys
+from pathlib import Path
+
 import derangetree
-from derangetree import bijection, cli, cycles, enumeration, trees
+from derangetree import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 PUBLIC = {
     "CaseTag", "CaseCountReport", "CycleDecomposition", "DEFAULT_SIZE_LIMIT",
@@ -22,34 +27,21 @@ PUBLIC = {
     "verify_bijection",
 }
 
-TRACED = [
-    (cli, "run"),
-    (enumeration, "gen_derangements"),
-    (enumeration, "gen_marked_trees"),
-    (enumeration, "gen_increasing_trees"),
-    (enumeration, "verify_bijection"),
-    (enumeration, "count_rank_k"),
-    (bijection, "forward_with_case"),
-    (bijection, "inverse"),
-    (bijection, "classify_tree"),
-    (bijection, "case2a_restructure"),
-    (trees, "parse_tree_text"),
-    (cycles, "parse_cycles"),
-    (bijection.Relabeling, "__init__"),
-    (trees.IncreasingTree, "__init__"),
-    (trees.IncreasingTree, "rank"),
-    (trees.IncreasingTree, "parse"),
-    (trees.IncreasingTree, "serialize"),
-    (trees.MarkedTree, "__init__"),
-    (trees.MarkedTree, "parse"),
-    (trees.MarkedTree, "serialize"),
-    (cycles.CycleDecomposition, "__init__"),
-    (cycles.CycleDecomposition, "serialize"),
-]
-
 
 def test_public_surface_and_traced_attributes():
     assert len(derangetree.__all__) == len(PUBLIC)
     assert set(derangetree.__all__) == PUBLIC
-    missing = [f"{owner.__name__}.{name}" for owner, name in TRACED if name not in vars(owner)]
-    assert missing == []
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run
+        import spans
+    finally:
+        sys.path.remove(str(BENCH))
+    original = cli.run
+    tracer = spans.Tracer()
+    try:
+        run.install_tracer(tracer, cli)  # a missing attribute raises here
+        assert cli.run is not original
+    finally:
+        tracer.uninstall()
+    assert cli.run is original
