@@ -34,6 +34,13 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY = 3
 
+# Size ceilings of the stats commands, checked before any work.  The rank
+# tables count exactly in O(max_size^2 k) steps; the slowest k at 300
+# takes about 2 s.  ``stats cases`` still classifies every one of the
+# D(size) derangements, 133,496 (about 8 s) at 9 and ten times that at 10.
+STATS_SIZE_LIMIT = 300
+CASES_SIZE_LIMIT = 9
+
 
 class _UsageError(Exception):
     pass
@@ -44,7 +51,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _refuse_past(flag: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise DomainError(f"{flag} {value} exceeds the ceiling {ceiling}; refusing to run")
+
+
 def _cmd_map(args) -> int:
+    if args.size < 1:
+        raise DomainError("--size must be at least 1")
     p = parse_cycles(args.cycles, size=args.size, require_derangement=True)
     print(forward(p).serialize())
     return EXIT_OK
@@ -93,6 +107,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats_rank_counts(args) -> int:
+    if args.k >= 0:  # a negative k is refused first, by rank_count_table
+        _refuse_past("--max-size", args.max_size, STATS_SIZE_LIMIT)
     table = rank_count_table(args.max_size, args.k)
     print("n k count")
     for row in table:
@@ -101,6 +117,7 @@ def _cmd_stats_rank_counts(args) -> int:
 
 
 def _cmd_stats_cases(args) -> int:
+    _refuse_past("--size", args.size, CASES_SIZE_LIMIT)
     report = case_counts(args.size)
     for tag in CaseTag:
         if report.histogram.get(tag):
@@ -111,6 +128,7 @@ def _cmd_stats_cases(args) -> int:
 
 
 def _cmd_stats_recurrence(args) -> int:
+    _refuse_past("--max-size", args.max_size, STATS_SIZE_LIMIT)
     rows = recurrence_check(args.max_size)
     print("n count residual[(n-1)*(a(n-1)+a(n-2))] residual[n*a(n-1)+n*a(n-2)]")
     for row in rows:
@@ -166,14 +184,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("stats", help="statistics tables")
     stats_sub = p.add_subparsers(dest="table", required=True)
     q = stats_sub.add_parser("rank-counts", help="rank-k vertex totals per size")
-    q.add_argument("--max-size", type=int, required=True)
+    q.add_argument("--max-size", type=int, required=True, help=f"at most {STATS_SIZE_LIMIT}")
     q.add_argument("--k", type=int, default=1)
     q.set_defaults(handler=_cmd_stats_rank_counts)
     q = stats_sub.add_parser("cases", help="construction-case histogram for one size")
-    q.add_argument("--size", type=int, required=True)
+    q.add_argument("--size", type=int, required=True, help=f"at most {CASES_SIZE_LIMIT}")
     q.set_defaults(handler=_cmd_stats_cases)
     q = stats_sub.add_parser("recurrence", help="rank-1 counts with recurrence residuals")
-    q.add_argument("--max-size", type=int, required=True)
+    q.add_argument("--max-size", type=int, required=True, help=f"at most {STATS_SIZE_LIMIT}")
     q.set_defaults(handler=_cmd_stats_recurrence)
 
     p = sub.add_parser("render", help="DOT drawing of a tree or marked tree")

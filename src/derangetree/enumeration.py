@@ -1,11 +1,15 @@
-"""Exhaustive generators and brute-force verification at desk scale.
+"""Exhaustive generators, exact rank counts and brute-force verification.
 
-Everything here enumerates: trees by choosing each vertex's parent among
+The generators enumerate: trees by choosing each vertex's parent among
 the smaller labels, derangements by backtracking over fixed-point-free
 one-line words, marked trees by scanning ranks.  ``verify_bijection``
 checks the bijection for one size in a single pass over the derangements
 plus a coverage scan of the marked trees, and refuses sizes past a hard
-ceiling instead of degrading.
+ceiling instead of degrading.  ``case_counts`` classifies every
+derangement of one size.  The rank tables (``count_rank_k``,
+``rank_count_table``, ``recurrence_check``) enumerate nothing: they count
+exactly, in integers, from a recurrence on the rank of a tree's root, so
+they reach sizes in the hundreds.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Iterator
 
 from .bijection import CaseTag, classify_derangement, forward_with_case, inverse
@@ -80,12 +85,81 @@ def gen_marked_trees(n: int) -> Iterator[MarkedTree]:
 
 
 def count_rank_k(n: int, k: int) -> int:
-    """Total number of rank-k vertices over all increasing trees of size n."""
+    """Total number of rank-k vertices over all increasing trees of size n.
+
+    Nothing is enumerated: the count is exact integer arithmetic in
+    O(n^2 k) steps, from two facts derived here.
+
+    Root rank.  Let G_r(m) count the trees of size m whose root has rank
+    at least r.  Every tree counts for r = 0, so G_0(m) = (m-1)!, and a
+    single vertex is a leaf, so G_r(1) = 0 for r >= 1.  For m >= 2 the
+    root has children and its rank is one more than the least rank among
+    them, so it is at least r exactly when every child has rank at least
+    r-1.  Deleting the root leaves the set of its children's subtrees:
+    their label sets partition 1..m-1, and each carries an increasing
+    tree, which the order-preserving relabelling makes a tree of the
+    block's size.  So G_r(m) = E_r(m-1), where E_r(s) counts the sets of
+    trees with roots of rank at least r-1 on s labelled points: s! times
+    the coefficient of x^s in exp(sum_j G_{r-1}(j) x^j / j!).  Sorting by
+    the block that holds the least point, of size j, gives E_r(0) = 1 and
+    E_r(s) = sum_{j=1..s} C(s-1, j-1) G_{r-1}(j) E_r(s-j).  Then
+    H_k(m) = G_k(m) - G_{k+1}(m) counts the trees of size m whose root
+    has rank exactly k.
+
+    Subtree sizes.  A vertex's rank depends only on its fringe subtree,
+    the vertex and everything below it.  Fix a tree S of size m < n.  The
+    pairs (T, v) of a tree T of size n and a non-root vertex v of T whose
+    fringe subtree, relabelled, is S number n!/(m+1)!, whatever S is.
+    Such a pair is chosen as: the subtree's label set B, whose least
+    element is v >= 1; an increasing tree on the other n-m labels,
+    (n-m-1)! ways; and a parent for v among the labels below v, which all
+    lie outside B, v ways.  The sum of v * C(n-1-v, m-1) over v counts
+    the (m+1)-subsets of 0..n-1 by their second-least element v, so it is
+    C(n, m+1), and the pairs number (n-m-1)! C(n, m+1) = n!/(m+1)!.
+    Summed over the (m-1)! trees S that is (n-1)! n/(m(m+1)): a tree of
+    size n has on average n/(m(m+1)) fringe subtrees of size m, and each
+    is a uniform tree of size m.
+
+    Adding the root to the non-root vertices, the total is
+    H_k(n) + sum_{m<n} n!/(m+1)! H_k(m).  A root of rank k has a path of
+    k edges below it, so H_k(m) = 0 for m <= k, and the total is 0 for
+    k >= n.
+    """
     if n < 1:
         raise DomainError("n must be at least 1")
     if k < 0:
         raise DomainError("k must be nonnegative")
-    return sum(1 for t in gen_increasing_trees(n) for v in t.labels if t.rank(v) == k)
+    return 0 if k >= n else _rank_totals(n, k)[-1]
+
+
+def _next_root_rank_row(g: list[int], r: int) -> list[int]:
+    """G_r from g = G_{r-1}; both are indexed by the size m, 0 at m = 0."""
+    e = [1] + [0] * (len(g) - 2)  # e[s] = E_r(s) for s = 0..max_n-1
+    # G_{r-1}(j) = 0 for j < r, so E_r(s) = 0 for 0 < s < r, and the block
+    # of the least point has size j = s or r <= j <= s-r.
+    for s in range(r, len(e)):
+        total, binom = g[s], comb(s - 1, r - 1)
+        for j in range(r, s - r + 1):
+            total += binom * g[j] * e[s - j]
+            binom = binom * (s - j) // j  # C(s-1, j) from C(s-1, j-1)
+        e[s] = total
+    return [0, 0] + e[1:]
+
+
+def _rank_totals(max_n: int, k: int) -> list[int]:
+    """``count_rank_k(n, k)`` for n = 1..max_n, from one set of G rows."""
+    if k >= max_n:
+        return [0] * max_n
+    g = [0] + [factorial(m - 1) for m in range(1, max_n + 1)]
+    for r in range(1, k + 1):
+        g = _next_root_rank_row(g, r)
+    h = [a - b for a, b in zip(g, _next_root_rank_row(g, k + 1))]  # H_k(m)
+    totals = []
+    fringe = 0  # sum_{m<n} n!/(m+1)! H_k(m), which gains the factor n+1 per step
+    for n in range(1, max_n + 1):
+        totals.append(h[n] + fringe)
+        fringe = (n + 1) * fringe + h[n]
+    return totals
 
 
 @dataclass(frozen=True)
@@ -98,9 +172,12 @@ class RankCountRow:
 
 
 def rank_count_table(max_n: int, k: int = 1) -> list[RankCountRow]:
+    """Rank-k vertex totals for every size 1..max_n (see ``count_rank_k``)."""
     if max_n < 1:
         raise DomainError("max_n must be at least 1")
-    return [RankCountRow(m, k, count_rank_k(m, k)) for m in range(1, max_n + 1)]
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    return [RankCountRow(m, k, count) for m, count in enumerate(_rank_totals(max_n, k), start=1)]
 
 
 def check_verification_size(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> None:
@@ -244,7 +321,7 @@ def recurrence_check(max_n: int) -> list[RankRecurrenceRow]:
     """
     if max_n < 3:
         raise DomainError("max_n must be at least 3")
-    counts = {m: count_rank_k(m, 1) for m in range(1, max_n + 1)}
+    counts = [0, *_rank_totals(max_n, 1)]  # counts[m] = a(m)
     rows = []
     for m in range(1, max_n + 1):
         if m >= 3:

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 import derangetree.cli
 from derangetree import InternalInvariantError
 from derangetree.cli import run
@@ -191,6 +193,9 @@ def test_negative_rank_prints_nothing_and_exits_2(capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err == "error: k must be nonnegative\n"
+    # a negative k is named even past the size ceiling, as before the ceiling existed
+    assert run(["stats", "rank-counts", "--max-size", "301", "--k", "-1"]) == 2
+    assert out_of(capsys) == ("", "error: k must be nonnegative\n")
 
 
 def test_short_recurrence_prints_nothing_and_exits_2(capsys):
@@ -198,6 +203,37 @@ def test_short_recurrence_prints_nothing_and_exits_2(capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err == "error: max_n must be at least 3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["map", "--size", "0", "(0 1)"], "--size must be at least 1"),
+    (["map", "--size", "-2", "(0 1)"], "--size must be at least 1"),
+    (["map", "--size", "-2", "(0 1"], "--size must be at least 1"),
+    (["stats", "rank-counts", "--max-size", "301"],
+     "--max-size 301 exceeds the ceiling 300; refusing to run"),
+    (["stats", "rank-counts", "--max-size", "1000000000000", "--k", "0"],
+     "--max-size 1000000000000 exceeds the ceiling 300; refusing to run"),
+    (["stats", "recurrence", "--max-size", "301"],
+     "--max-size 301 exceeds the ceiling 300; refusing to run"),
+    (["stats", "cases", "--size", "10"], "--size 10 exceeds the ceiling 9; refusing to run"),
+])
+def test_size_refusals_come_before_any_work(argv, message, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("parse_cycles", "rank_count_table", "case_counts", "recurrence_check"):
+        monkeypatch.setattr(derangetree.cli, name, no_work)
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_stats_tables_run_at_their_ceiling(capsys):
+    assert run(["stats", "rank-counts", "--max-size", "300", "--k", "2"]) == 0
+    assert len(out_of(capsys)[0].splitlines()) == 301
+    assert run(["stats", "recurrence", "--max-size", "300"]) == 0
+    assert out_of(capsys)[0].splitlines()[-1].split()[2] == "0"
 
 
 def test_internal_error_is_one_line_exit_3(capsys, monkeypatch):

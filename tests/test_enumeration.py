@@ -20,7 +20,7 @@ from derangetree import (
     verify_bijection,
 )
 from derangetree.cli import run
-from util import factorial, fixed_point_free_words, subfactorial
+from util import brute_rank_count, factorial, fixed_point_free_words, subfactorial
 
 
 # -- generators --
@@ -97,6 +97,45 @@ def test_rank_counts_partition_all_vertices():
 def test_rank1_count_matches_marked_enumeration():
     for n in range(1, 7):
         assert count_rank_k(n, 1) == len(list(gen_marked_trees(n)))
+
+
+def test_count_rank_k_matches_brute_force():
+    for n in range(1, 9):
+        for k in range(n + 2):
+            assert count_rank_k(n, k) == brute_rank_count(n, k), (n, k)
+            assert rank_count_table(n, k)[-1].count == brute_rank_count(n, k), (n, k)
+
+
+def test_rank1_counts_are_derangement_numbers():
+    rows = rank_count_table(100, 1)
+    assert [r.count for r in rows] == [subfactorial(n) for n in range(1, 101)]
+
+
+def test_rank0_counts_are_half_of_all_vertices():
+    rows = rank_count_table(100, 0)
+    assert rows[0].count == 1
+    assert [r.count for r in rows[1:]] == [factorial(n) // 2 for n in range(2, 101)]
+
+
+def test_rank_counts_sum_to_all_vertices():
+    columns = [rank_count_table(40, k) for k in range(42)]
+    for n in range(1, 41):
+        assert sum(column[n - 1].count for column in columns) == factorial(n)
+
+
+def test_count_rank_k_past_the_largest_rank_is_zero_at_once():
+    assert count_rank_k(10**12, 10**12) == 0
+    assert [r.count for r in rank_count_table(3, 10**12)] == [0, 0, 0]
+
+
+def test_rank_count_errors_in_order():
+    for call, text in [(lambda: count_rank_k(0, -1), "n must be at least 1"),
+                       (lambda: count_rank_k(1, -1), "k must be nonnegative"),
+                       (lambda: rank_count_table(0, -1), "max_n must be at least 1"),
+                       (lambda: rank_count_table(1, -1), "k must be nonnegative")]:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == text
 
 
 def test_rank_count_table():
@@ -223,6 +262,12 @@ def test_recurrence_rows():
     assert rows[1].residual_derangement is None
     # the variant column is only reported; at n=4 it is 9 - 4*2 - 4*1
     assert rows[4].residual_variant == -3
+
+
+def test_derangement_recurrence_holds_to_100():
+    rows = recurrence_check(100)
+    assert [r.n for r in rows] == list(range(1, 101))
+    assert all(r.residual_derangement == 0 for r in rows[2:])
 
 
 def test_recurrence_check_requires_three():

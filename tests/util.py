@@ -5,6 +5,7 @@ definitions, not by calling the code under test, so that each check has
 two genuinely different routes to the same answer.
 """
 
+import functools
 import itertools
 
 from derangetree import CaseTag, IncreasingTree, MarkedTree
@@ -24,6 +25,27 @@ def brute_rank(tree: IncreasingTree, v: int) -> int:
 
     explore(v, 0)
     return best
+
+
+def brute_rank_count(n: int, k: int) -> int:
+    """Rank-k vertices over all increasing trees of size n, by brute force."""
+    return _brute_rank_histogram(n).get(k, 0)
+
+
+@functools.cache
+def _brute_rank_histogram(n: int) -> dict[int, int]:
+    """How many vertices of each rank all trees of size n hold together.
+
+    Each tree is built from its own choice of parent for every vertex
+    among the smaller labels, and every vertex is ranked by ``brute_rank``.
+    """
+    hist: dict[int, int] = {}
+    for choices in itertools.product(*(range(v) for v in range(1, n))):
+        tree = IncreasingTree(dict(enumerate(choices, start=1)), labels=range(n))
+        for v in range(n):
+            r = brute_rank(tree, v)
+            hist[r] = hist.get(r, 0) + 1
+    return hist
 
 
 def recursive_walk(tree: IncreasingTree, v: int) -> list[int]:
