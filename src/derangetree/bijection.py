@@ -17,7 +17,8 @@ top = max S:
   root-to-k path and pulls subtrees under j until the walk from j meets k
   before any other rank-1 vertex; then top is hung under j (C2a).  Either
   way j is the mark.
-* |S| = 2 and |S| = 3 are the base cases, decided by the order of labels.
+* |S| = 2 is the one base case.  Size 3 comes out of C1 on it, (0 1 2)
+  by C1cII and (0 2 1) by C1a, and keeps only its tag, ``BASE3``.
 
 The construction recurses on n, but it only ever compares labels, so a
 smaller level can keep its labels instead of being renumbered onto
@@ -179,7 +180,7 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
     # top down: (top, anchor v or partner j, whether top was in a 2-cycle)
     levels: list[tuple[int, int, bool]] = []
     top = n - 1
-    while len(succ) > 3:
+    while len(succ) > 2:
         while top not in succ:
             top -= 1
         after, before = succ.pop(top), pred.pop(top)
@@ -190,16 +191,9 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
             succ[before], pred[after] = after, before
             levels.append((top, before, False))
         top -= 1
-    a, b, *rest = sorted(succ)
+    a, b = sorted(succ)
     tree = _Draft({b: a}, {a: {b}, b: set()})
     mark, tag = a, CaseTag.BASE2
-    if rest:
-        tag = CaseTag.BASE3
-        if succ[a] == b:  # (a b c): the chain, marked in the middle
-            tree.add_leaf(rest[0], b)
-            mark = b
-        else:  # (a c b): the star, marked at the root
-            tree.add_leaf(rest[0], a)
     # bottom up
     for top, x, paired in reversed(levels):
         if paired:
@@ -222,6 +216,8 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
                 tag, mark = CaseTag.C1C_II, x
         else:
             tag = CaseTag.C1B
+    if n == 3:  # the chain (C1cII) or the star (C1a)
+        tag = CaseTag.BASE3
     return MarkedTree(tree.freeze(), mark), tag
 
 
@@ -309,7 +305,7 @@ def classify_tree(mt: MarkedTree) -> CaseTag:
 
 def _classify(tree: _Draft, m: int, top: int) -> CaseTag:
     """``classify_tree`` for mark ``m`` of rank 1 and largest label ``top``,
-    on at least four vertices."""
+    on at least three vertices."""
     v = tree.parent[top]
     kids = tree.children[m]
     if v == m:
@@ -367,7 +363,8 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
     Each new mark has a leaf child: C1a, C1b and C1cI keep the mark and a
     leaf child of it other than top; C1cII and C2b re-mark the parent of a
     leaf; C2a re-marks a vertex found by its leaf child, which the
-    regrouping leaves in place.
+    regrouping leaves in place.  So every level is a valid marked tree; at
+    size 3 that is the chain or the star, which C1cII or C1a peels to size 2.
     """
     t = mt.tree
     if not t.is_standard:
@@ -378,7 +375,7 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
     # top down: (top, anchor or partner, whether the splice is a 2-cycle)
     splices: list[tuple[int, int, bool]] = []
     top = n - 1
-    while len(tree.children) > 3:
+    while len(tree.children) > 2:
         while top not in tree.children:
             top -= 1
         tag = _classify(tree, mark, top)
@@ -397,17 +394,8 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
         else:
             splices.append((top, v, False))
         top -= 1
-    a, b, *rest = sorted(tree.children)
+    a, b = sorted(tree.children)
     succ = {a: b, b: a}
-    if rest:
-        c = rest[0]
-        if tree.parent[c] == b and mark == b:
-            succ = {a: b, b: c, c: a}
-        elif tree.parent[c] == a and mark == a:
-            succ = {a: c, c: b, b: a}
-        else:
-            raise InternalInvariantError(
-                f"unrecognized size-3 marked tree {tree.freeze().serialize()};mark={mark}")
     # bottom up
     for top, x, paired in reversed(splices):
         if paired:

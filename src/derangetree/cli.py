@@ -3,13 +3,15 @@
 Subcommands: map, unmap, tree2perm, perm2tree, enumerate, verify, stats,
 render.  Exit codes: 0 success, 1 usage error, 2 invalid input, 3
 verification failure or internal invariant violation, each failure with
-a one-line diagnostic on stderr.
+a one-line diagnostic on stderr.  A reader that closes stdout early, as
+``head`` does, ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bijection import CaseTag, forward, inverse
@@ -223,7 +225,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is gone; point it at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Permutations of a finite integer set stored as disjoint cycles.
 
 Canonical form: every cycle is rotated so its smallest element comes first,
-and cycles are sorted by their smallest element.  A derangement is a
-permutation with no fixed point, i.e. no cycle of length 1.
+and cycles are sorted by their smallest element; both constructors get it
+from one walk over a successor map.  A derangement is a permutation with no
+fixed point, i.e. no cycle of length 1.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DomainError, FormatError
@@ -28,48 +30,50 @@ class CycleDecomposition:
 
     def __init__(self, cycles: Iterable[Sequence[int]]):
         given: list[tuple[int, ...]] = []
-        canon: list[tuple[int, ...]] = []
         succ: dict[int, int] = {}
         try:
             for cyc in cycles:
-                cyc = tuple(map(int, cyc))
+                cyc = tuple(map(operator.index, cyc))
                 given.append(cyc)
-                if cyc:
-                    low = cyc.index(min(cyc))
-                    cyc = cyc[low:] + cyc[:low]
-                    succ.update(zip(cyc, cyc[1:] + cyc[:1]))
-                canon.append(cyc)
+                succ.update(zip(cyc, cyc[1:] + cyc[:1]))
         except Exception:
             _check_labels(given)  # a fault in an earlier cycle is reported first
             raise
         # a repeated label leaves succ short of one entry per label
         if len(succ) != sum(map(len, given)) or not all(given) or (succ and min(succ) < 0):
             _check_labels(given)
-        canon.sort()  # the cycles are disjoint, so this orders them by first label
-        self._cycles = tuple(canon)
-        self._ground = tuple(sorted(succ))
-        self._succ = succ
-        self._pred = dict(zip(succ.values(), succ))
+        self._walk(succ)
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "CycleDecomposition":
-        """Build from one-line notation, ``word[i]`` being the image of i."""
-        word = tuple(word)
+        """Build from one-line notation, ``word[i]`` being the image of i.
+
+        A word of integers that sorts to 0..n-1 holds each label once, with
+        no negative label and no empty cycle: it passes every check of the
+        constructor, so the constructor is skipped.
+        """
+        word = tuple(map(operator.index, word))
         if sorted(word) != list(range(len(word))):
             raise DomainError(f"word is not a permutation of 0..{len(word) - 1}")
-        seen = [False] * len(word)
+        perm = cls.__new__(cls)
+        perm._walk(dict(enumerate(word)))
+        return perm
+
+    def _walk(self, succ: dict[int, int]) -> None:
+        """Store the permutation with successor map ``succ``.  Each cycle is
+        walked from the least label not yet seen, so it comes out canonical."""
+        self._ground = tuple(sorted(succ))
+        unseen = dict(succ)
         cycles = []
-        for i in range(len(word)):
-            if seen[i]:
-                continue
-            cyc = []
-            x = i
-            while not seen[x]:
-                seen[x] = True
-                cyc.append(x)
-                x = word[x]
-            cycles.append(tuple(cyc))
-        return cls(cycles)
+        for x in self._ground:
+            if x in unseen:
+                cyc = [x]
+                while (y := unseen.pop(cyc[-1])) != x:
+                    cyc.append(y)
+                cycles.append(tuple(cyc))
+        self._cycles = tuple(cycles)
+        self._succ = succ
+        self._pred = dict(zip(succ.values(), succ))
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:

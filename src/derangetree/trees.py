@@ -38,7 +38,7 @@ class IncreasingTree:
     [3, 5, 6, 7]
     """
 
-    __slots__ = ("_labels", "_label_set", "_parent", "_children", "_ranks")
+    __slots__ = ("_labels", "_parent", "_children", "_ranks")
 
     def __init__(self, parent: Mapping[int, int], labels: Iterable[int] | None = None):
         parent = dict(parent)
@@ -55,24 +55,22 @@ class IncreasingTree:
             raise DomainError("ground set is empty")
         if label_list[0] < 0:
             raise DomainError(f"negative label: {label_list[0]}")
-        label_set = frozenset(label_list)
+        children: dict[int, list[int]] = {v: [] for v in label_list}
         root = label_list[0]
-        missing = label_set - {root} - set(parent)
+        missing = children.keys() - {root} - parent.keys()
         if missing:
             raise DomainError(f"vertex {min(missing)} has no parent entry")
-        extra = set(parent) - (label_set - {root})
+        extra = parent.keys() - (children.keys() - {root})
         if extra:
             raise DomainError(f"unexpected parent entry for {min(extra)}")
-        children: dict[int, list[int]] = {v: [] for v in label_list}
         for v in label_list[1:]:
             p = parent[v]
-            if p not in label_set:
+            if p not in children:
                 raise DomainError(f"parent {p} of vertex {v} is not a vertex")
             if p >= v:
                 raise DomainError(f"parent {p} of vertex {v} must be smaller")
             children[p].append(v)
         self._labels = tuple(label_list)
-        self._label_set = label_set
         self._parent = parent
         # built in ascending v order, so every child tuple is ascending
         self._children = {v: tuple(c) for v, c in children.items()}
@@ -96,10 +94,10 @@ class IncreasingTree:
         return self._labels == tuple(range(len(self._labels)))
 
     def __contains__(self, v: int) -> bool:
-        return v in self._label_set
+        return v in self._children
 
     def _require(self, v: int) -> None:
-        if v not in self._label_set:
+        if v not in self._children:
             raise DomainError(f"unknown vertex label: {v}")
 
     def parent_of(self, v: int) -> int | None:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +73,20 @@ def test_enumerate_derangements(capsys):
 def test_enumerate_marked(capsys):
     assert run(["enumerate", "marked", "--size", "2"]) == 0
     assert out_of(capsys)[0].splitlines() == ["size=2;parents=0;mark=0"]
+
+
+def test_closed_stdout_ends_quietly_with_exit_0():
+    # as in `derangetree enumerate derangements --size 11 | head -1`
+    src = os.path.dirname(os.path.dirname(derangetree.cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "derangetree.cli", "enumerate", "derangements", "--size", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"(0 1)(2 3)(4 5)(6 7)(8 9 10)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_verify_reports_and_exit_zero(capsys):

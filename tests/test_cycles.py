@@ -38,9 +38,18 @@ def test_negative_and_empty():
     ([(0, 4), (2, 5), (5, 1)], "repeated label: 5"),
     ([(0, 1), (2, -1, 1)], "negative label: -1"),
     ([(0, 1), (), (-2, 3)], "empty cycle"),
+    # a fault in an earlier cycle is named before a later label fails to convert
+    ([(0, 0), (1.5, 2)], "repeated label: 0"),
+    ([(-1, 2), ("a",)], "negative label: -1"),
 ])
 def test_first_offence_is_named(cycles, text):
     with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        CycleDecomposition(cycles)
+
+
+@pytest.mark.parametrize("cycles", [[(0, 1.5)], [("0", "1")]])
+def test_non_integer_label_is_refused(cycles):
+    with pytest.raises(TypeError):
         CycleDecomposition(cycles)
 
 
@@ -93,8 +102,12 @@ def test_relabel_more_examples():
 def test_from_word():
     assert CycleDecomposition.from_word((1, 0, 3, 2)).serialize() == "(0 1)(2 3)"
     assert CycleDecomposition.from_word((0, 1, 2)).serialize() == "(0)(1)(2)"
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^word is not a permutation of 0\.\.1$"):
         CycleDecomposition.from_word((1, 1))
+    with pytest.raises(DomainError, match=r"^word is not a permutation of 0\.\.2$"):
+        CycleDecomposition.from_word((0, 1, 3))
+    with pytest.raises(TypeError):
+        CycleDecomposition.from_word((1.0, 0))
 
 
 # -- parsing --
@@ -161,16 +174,31 @@ def test_parse_syntax_errors_carry_columns():
         parse_cycles("(0a)")
 
 
-@given(st.permutations(list(range(7))))
-def test_canonical_invariants_from_random_words(word):
+@given(st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(n)))),
+       st.randoms(use_true_random=False))
+def test_canonical_invariants_from_random_words(word, rng):
+    n = len(word)
     p = CycleDecomposition.from_word(word)
     seen = [x for cyc in p.cycles for x in cyc]
     assert sorted(seen) == sorted(word)
     for cyc in p.cycles:
         assert cyc[0] == min(cyc)
     assert list(p.cycles) == sorted(p.cycles, key=lambda c: c[0])
-    for i in range(7):
+    for i in range(n):
         assert p.image(i) == word[i]
+    # the constructor, given the same cycles rotated and shuffled, agrees
+    given_cycles = []
+    for cyc in p.cycles:
+        k = rng.randrange(len(cyc))
+        given_cycles.append(cyc[k:] + cyc[:k])
+    rng.shuffle(given_cycles)
+    q = CycleDecomposition(given_cycles)
+    assert q.cycles == p.cycles
+    assert q.ground_set == p.ground_set == tuple(range(n))
+    assert hash(q) == hash(p)
+    for i in range(n):
+        assert q.image(i) == p.image(i)
+        assert q.preimage(i) == p.preimage(i) == word.index(i)
 
 
 def test_generators_agree_with_itertools_filter():
