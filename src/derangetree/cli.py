@@ -5,11 +5,15 @@ render.  Exit codes: 0 success, 1 usage error, 2 invalid input, 3
 verification failure or internal invariant violation, each failure with
 a one-line diagnostic on stderr.  A reader that closes stdout early, as
 ``head`` does, ends the command quietly with exit 0.
+
+The argument parser is built on the first ``run`` call and reused by every
+later call in the same process; parsing a command line never changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -149,6 +153,7 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="derangetree",
                      description="Derangements, marked increasing trees, and the maps between them.")

@@ -187,28 +187,20 @@ def parse_cycles(text: str, *, size: int | None = None,
         if close == -1:
             syntax(i, "unclosed '('")
         body = text[i + 1 : close]
-        if not body.strip():
+        tokens = body.split()  # splits exactly where str.isspace holds
+        if not tokens:
             syntax(i + 1, "empty cycle")
-        labels: list[int] = []
-        if any(c.isspace() for c in body):
-            j = i + 1
-            while j < close:
-                if text[j].isspace():
-                    j += 1
-                    continue
-                start = j
-                while j < close and not text[j].isspace():
-                    j += 1
-                tok = text[start:j]
-                if not (tok.isascii() and tok.isdigit()):
-                    syntax(start, f"expected an integer but found {tok!r}")
-                labels.append(int(tok))
-        else:
-            for off, c in enumerate(body):
-                if not (c.isascii() and c.isdigit()):
-                    syntax(i + 1 + off, f"expected a digit but found {c!r}")
-                labels.append(int(c))
-        cycles.append(labels)
+        compact = tokens == [body]  # no whitespace: one label per digit
+        if compact:
+            tokens = list(body)
+        digits = "".join(tokens)
+        if not (digits.isascii() and digits.isdigit()):
+            bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+            # only ASCII digits and whitespace precede it, so its first
+            # occurrence after the '(' is the token itself
+            syntax(text.index(bad, i + 1),
+                   f"expected {'a digit' if compact else 'an integer'} but found {bad!r}")
+        cycles.append(list(map(int, tokens)))
         i = close + 1
     if not cycles:
         raise FormatError("column 1: expected '(' but found end of input")

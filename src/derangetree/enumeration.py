@@ -2,14 +2,14 @@
 
 The generators enumerate: trees by choosing each vertex's parent among
 the smaller labels, derangements by backtracking over fixed-point-free
-one-line words, marked trees by scanning ranks.  ``verify_bijection``
-checks the bijection for one size in a single pass over the derangements
-plus a coverage scan of the marked trees, and refuses sizes past a hard
-ceiling instead of degrading.  ``case_counts`` classifies every
-derangement of one size.  The rank tables (``count_rank_k``,
-``rank_count_table``, ``recurrence_check``) enumerate nothing: they count
-exactly, in integers, from a recurrence on the rank of a tree's root, so
-they reach sizes in the hundreds.
+one-line words, marked trees by marking each vertex with a leaf child
+(the rank-1 vertices).  ``verify_bijection`` checks the bijection for one
+size in a single pass over the derangements plus a coverage scan of the
+marked trees, and refuses sizes past a hard ceiling instead of degrading.
+``case_counts`` classifies every derangement of one size.  The rank tables
+(``count_rank_k``, ``rank_count_table``, ``recurrence_check``) enumerate
+nothing: they count exactly, in integers, from a recurrence on the rank
+of a tree's root, so they reach sizes in the hundreds.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def gen_marked_trees(n: int) -> Iterator[MarkedTree]:
         raise DomainError("n must be at least 1")
     for tree in gen_increasing_trees(n):
         for v in tree.labels:
-            if tree.rank(v) == 1:
+            if tree.has_leaf_child(v):  # rank 1
                 yield MarkedTree(tree, v)
 
 

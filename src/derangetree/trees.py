@@ -13,6 +13,7 @@ the bijection between trees of size n and words of length n-1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
@@ -41,13 +42,14 @@ class IncreasingTree:
     __slots__ = ("_labels", "_parent", "_children", "_ranks")
 
     def __init__(self, parent: Mapping[int, int], labels: Iterable[int] | None = None):
-        parent = dict(parent)
+        index = operator.index
+        parent = dict(zip(map(index, parent), map(index, parent.values())))
         if labels is None:
             if not parent:
                 raise DomainError("a tree with no edges needs an explicit ground set")
             label_list = sorted(set(parent) | set(parent.values()))
         else:
-            label_list = sorted(labels)
+            label_list = sorted(map(index, labels))
             for i in range(1, len(label_list)):
                 if label_list[i] == label_list[i - 1]:
                     raise DomainError(f"repeated label: {label_list[i]}")
@@ -129,6 +131,14 @@ class IncreasingTree:
                 ranks[x] = 1 + min(ranks[c] for c in ch) if ch else 0
             self._ranks = ranks
         return self._ranks[v]
+
+    def has_leaf_child(self, v: int) -> bool:
+        """True when some child of ``v`` is a leaf, which is exactly when
+        ``rank(v) == 1``.  Costs one lookup per child and builds no table."""
+        self._require(v)
+        children = self._children
+        # a leaf's child tuple is empty, so it is the one falsy entry
+        return not all(map(children.__getitem__, children[v]))
 
     def depth_search_walk(self, start: int | None = None) -> tuple[int, ...]:
         """Vertices of the subtree under ``start`` (default: the root), in
@@ -227,8 +237,8 @@ class MarkedTree:
     mark: int
 
     def __post_init__(self) -> None:
-        r = self.tree.rank(self.mark)
-        if r != 1:
+        if not self.tree.has_leaf_child(self.mark):  # DomainError for an unknown mark
+            r = self.tree.rank(self.mark)  # only to word the error
             raise DomainError(f"marked vertex {self.mark} has rank {r}, need rank 1")
 
     @property

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -179,6 +180,41 @@ def test_help_exits_0(capsys):
     assert "derangetree" in out_of(capsys)[0]
 
 
+def test_later_runs_build_no_parser_and_share_no_state(capsys, monkeypatch):
+    run(["--help"])  # the parser exists from here on
+    out_of(capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+    assert run(["stats", "rank-counts", "--max-size", "4", "--k", "2"]) == 0
+    assert out_of(capsys)[0].splitlines()[1:] == ["1 2 0", "2 2 0", "3 2 1", "4 2 2"]
+    assert run(["stats", "rank-counts", "--max-size", "4"]) == 0
+    assert out_of(capsys)[0].splitlines()[1:] == ["1 1 0", "2 1 1", "3 1 2", "4 1 9"]
+
+    assert run(["verify", "--max-size", "3", "--json"]) == 0
+    json.loads(out_of(capsys)[0])
+    assert run(["verify", "--max-size", "3"]) == 0
+    assert out_of(capsys)[0].startswith("n=2 derangements=1 marked_trees=1 failures=0")
+
+    assert run(["map", "(0 1)"]) == 1
+    assert out_of(capsys)[1].startswith("usage error: ")
+    assert run(["map", "--size", "2", "(0 1)"]) == 0
+    assert out_of(capsys) == ("size=2;parents=0;mark=0\n", "")
+
+    assert run(["--help"]) == 0
+    assert out_of(capsys)[0].startswith("usage: derangetree")
+    assert run(["unmap", "size=2;parents=0;mark=0"]) == 0
+    assert out_of(capsys) == ("(0 1)\n", "")
+
+    assert built == []
+
+
 def test_fixed_point_exits_2(capsys):
     assert run(["map", "--size", "3", "(0)(1 2)"]) == 2
     _, err = out_of(capsys)
@@ -202,7 +238,7 @@ def test_bad_tree_text_exits_2(capsys):
 
 def test_bad_mark_exits_2(capsys):
     assert run(["unmap", "size=3;parents=0,1;mark=2"]) == 2
-    assert "rank" in out_of(capsys)[1]
+    assert out_of(capsys) == ("", "error: marked vertex 2 has rank 0, need rank 1\n")
 
 
 def test_negative_rank_prints_nothing_and_exits_2(capsys):

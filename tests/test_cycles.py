@@ -170,8 +170,19 @@ def test_parse_syntax_errors_carry_columns():
         parse_cycles("(0 x)")
     with pytest.raises(FormatError):
         parse_cycles("")
-    with pytest.raises(FormatError):
-        parse_cycles("(0a)")
+    for text, message in [
+        ("(0a)", "column 3: expected a digit but found 'a'"),
+        ("(10 2a 3)", "column 5: expected an integer but found '2a'"),
+        ("(0 \u0661)", "column 4: expected an integer but found '\u0661'"),  # Arabic-Indic 1
+    ]:
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_cycles(text)
+
+
+def test_parse_any_whitespace_separates_labels():
+    assert parse_cycles("(0\t1\n2)").cycles == ((0, 1, 2),)
+    for text in ["(0 1)", "( 1 0 )", "(0\xa01)", "(1\u30000)"]:  # no-break, ideographic
+        assert parse_cycles(text).cycles == ((0, 1),)
 
 
 @given(st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(n)))),

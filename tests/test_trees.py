@@ -46,6 +46,8 @@ def test_rank_hand_checked_values():
 def test_rank_unknown_vertex():
     with pytest.raises(DomainError):
         EXAMPLE_TREE.rank(9)
+    with pytest.raises(DomainError, match="^unknown vertex label: 9$"):
+        EXAMPLE_TREE.has_leaf_child(9)
 
 
 def test_rank_matches_brute_force_exhaustively():
@@ -53,6 +55,7 @@ def test_rank_matches_brute_force_exhaustively():
         for t in gen_increasing_trees(n):
             for v in t.labels:
                 assert t.rank(v) == brute_rank(t, v)
+                assert t.has_leaf_child(v) == (brute_rank(t, v) == 1)
 
 
 def test_rank_properties_exhaustively():
@@ -212,6 +215,17 @@ def test_empty_tree_needs_labels():
         IncreasingTree({})
 
 
+@pytest.mark.parametrize("parent, labels", [
+    ({1: 0.0}, None),  # once serialized as "size=2;parents=0.0", which parse refuses
+    ({1.5: 0}, None),
+    ({1: 0}, [0, 1.0]),
+    ({"1": "0"}, None),
+])
+def test_non_integer_label_is_refused(parent, labels):
+    with pytest.raises(TypeError):
+        IncreasingTree(parent, labels)
+
+
 def test_generalized_ground_set():
     t = IncreasingTree({3: 1, 5: 3, 2: 1, 4: 2, 7: 4, 6: 2, 8: 6})
     assert t.root == 1
@@ -284,10 +298,12 @@ def test_parse_tree_text_dispatches():
 def test_marked_tree_requires_rank_one():
     chain3 = IncreasingTree({1: 0, 2: 1})
     MarkedTree(chain3, 1)  # fine
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^marked vertex 2 has rank 0, need rank 1$"):
         MarkedTree(chain3, 2)  # a leaf
-    with pytest.raises(DomainError):
-        MarkedTree(chain3, 0)  # rank 2
+    with pytest.raises(DomainError, match="^marked vertex 0 has rank 2, need rank 1$"):
+        MarkedTree(chain3, 0)
+    with pytest.raises(DomainError, match="^unknown vertex label: 9$"):
+        MarkedTree(chain3, 9)
 
 
 # -- words as text --
