@@ -27,7 +27,10 @@ structure.  ``forward`` peels top labels off the cycles, recording per
 level the label that went and its anchor v or partner j, then grows the
 tree back bottom up.  ``inverse`` peels top labels off the tree into a
 list of cycle splices, then applies them bottom up.  The input is checked
-once, at entry, and one tree or one permutation is built, on exit.
+once, at entry, and one tree or one permutation is built, on exit, from
+its parent or successor map alone.  That object is valid by construction,
+so it skips the validating constructor; ``_Draft`` and ``inverse`` give
+the argument.
 
 No rank table is kept: the construction only asks whether a vertex is a
 leaf (rank 0), has a leaf child (rank 1) or neither (rank >= 2), which the
@@ -36,7 +39,11 @@ case can leave the mark without a leaf child.  In ``forward`` each level
 hangs the fresh top under the new mark, keeps the old mark after seeing a
 leaf child under it (C1cI), or leaves the mark's children alone (C1b);
 ``inverse`` argues its cases in its docstring.  The one ``MarkedTree``
-built on exit checks the last mark.
+built on exit checks the last mark.  User input takes the validating
+paths: the ``CycleDecomposition`` and ``MarkedTree`` handed in were
+checked when they were built, and ``case2a_restructure``, whose label j
+comes from the caller, builds its result with the ``IncreasingTree``
+constructor.
 """
 
 from __future__ import annotations
@@ -113,8 +120,19 @@ class Relabeling:
 class _Draft:
     """A mutable tree under construction: ``parent`` maps every vertex but
     the root to its parent, ``children`` every vertex to a set of children.
-    Nothing is validated here; ``freeze`` hands the result to the
-    validating ``IncreasingTree`` constructor."""
+    Nothing is validated here.
+
+    ``freeze`` builds the image of ``forward_with_case`` from ``parent``
+    alone, skipping the ``IncreasingTree`` constructor's checks.  They hold
+    by construction: the input's ground set is checked to be 0..n-1, every
+    label goes back into the tree once, and each edit keeps parents smaller
+    than their children.  ``add_leaf`` hangs the current top, greater than
+    every label already present, or hangs j under a smaller mark (C2b);
+    ``_restructure`` inserts j below a path vertex smaller than it, or as the
+    new root, and moves to j only subtrees whose roots exceed j.  So
+    ``parent`` maps each of 1..n-1 to a smaller label.  ``case2a_restructure``
+    takes j from the caller, so its result goes through the constructor.
+    """
 
     __slots__ = ("parent", "children")
 
@@ -128,7 +146,7 @@ class _Draft:
         return cls(dict(t._parent), {v: set(c) for v, c in t._children.items()})
 
     def freeze(self) -> IncreasingTree:
-        return IncreasingTree(self.parent, self.children)
+        return IncreasingTree._standard(self.parent)
 
     def has_leaf_child(self, x: int) -> bool:
         """Whether ``x`` has rank 1."""
@@ -175,8 +193,9 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
     """Map a derangement to its marked tree, along with the case that fired."""
     _check_derangement(p)
     n = p.size
-    # p's own maps, read without a checked ``image`` call per label
-    succ, pred = dict(p._succ), dict(p._pred)
+    # p's own map, read without a checked ``image`` call per label
+    succ = dict(p._succ)
+    pred = dict(zip(succ.values(), succ))
     # top down: (top, anchor v or partner j, whether top was in a 2-cycle)
     levels: list[tuple[int, int, bool]] = []
     top = n - 1
@@ -256,7 +275,7 @@ def case2a_restructure(t: IncreasingTree, j: int, k: int) -> IncreasingTree:
         raise DomainError(f"vertex {k} has rank {t.rank(k)}, need rank 1")
     tree = _Draft.of(t)
     _restructure(tree, j, k)
-    return tree.freeze()
+    return IncreasingTree(tree.parent, tree.children)  # j comes from the caller
 
 
 def _restructure(tree: _Draft, j: int, k: int) -> None:
@@ -365,6 +384,13 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
     leaf; C2a re-marks a vertex found by its leaf child, which the
     regrouping leaves in place.  So every level is a valid marked tree; at
     size 3 that is the chain or the star, which C1cII or C1a peels to size 2.
+
+    The result is built from its successor map without a check.  The map
+    starts as the 2-cycle on the last two labels, and every splice adds
+    only labels it does not hold yet: top, and for a 2-cycle the mark that
+    the same level deleted.  So it stays a permutation without fixed
+    points of the labels deleted so far, and ends as a derangement of all
+    the tree's labels, 0..n-1.
     """
     t = mt.tree
     if not t.is_standard:
@@ -402,4 +428,4 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
             succ[x], succ[top] = top, x
         else:
             succ[x], succ[top] = top, succ[x]
-    return CycleDecomposition.from_word([succ[x] for x in range(n)])
+    return CycleDecomposition._from_succ(succ)

@@ -1,9 +1,10 @@
 """Permutations of a finite integer set stored as disjoint cycles.
 
+A permutation is stored as its successor map alone, label -> image.
 Canonical form: every cycle is rotated so its smallest element comes first,
-and cycles are sorted by their smallest element; both constructors get it
-from one walk over a successor map.  A derangement is a permutation with no
-fixed point, i.e. no cycle of length 1.
+and cycles are sorted by their smallest element; it comes from one walk
+over the successor map, made on first use and cached.  A derangement is a
+permutation with no fixed point, i.e. no cycle of length 1.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import DomainError, FormatError
 class CycleDecomposition:
     """Immutable permutation in disjoint-cycle form.
 
+    Only the successor map is stored.  The canonical cycles and the
+    predecessor map are computed on first use and cached; equality compares
+    successor maps, which is the same as comparing canonical cycles.
+
     >>> p = CycleDecomposition([(5, 0, 3), (4, 2, 1)])
     >>> p.serialize()
     '(0 3 5)(1 4 2)'
@@ -26,7 +31,7 @@ class CycleDecomposition:
     True
     """
 
-    __slots__ = ("_cycles", "_ground", "_succ", "_pred")
+    __slots__ = ("_succ", "_cycles", "_pred")
 
     def __init__(self, cycles: Iterable[Sequence[int]]):
         given: list[tuple[int, ...]] = []
@@ -42,7 +47,9 @@ class CycleDecomposition:
         # a repeated label leaves succ short of one entry per label
         if len(succ) != sum(map(len, given)) or not all(given) or (succ and min(succ) < 0):
             _check_labels(given)
-        self._walk(succ)
+        self._succ = succ
+        self._cycles: tuple[tuple[int, ...], ...] | None = None
+        self._pred: dict[int, int] | None = None
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "CycleDecomposition":
@@ -55,44 +62,53 @@ class CycleDecomposition:
         word = tuple(map(operator.index, word))
         if sorted(word) != list(range(len(word))):
             raise DomainError(f"word is not a permutation of 0..{len(word) - 1}")
-        perm = cls.__new__(cls)
-        perm._walk(dict(enumerate(word)))
-        return perm
+        return cls._from_succ(dict(enumerate(word)))
 
-    def _walk(self, succ: dict[int, int]) -> None:
-        """Store the permutation with successor map ``succ``.  Each cycle is
-        walked from the least label not yet seen, so it comes out canonical."""
-        self._ground = tuple(sorted(succ))
-        unseen = dict(succ)
-        cycles = []
-        for x in self._ground:
-            if x in unseen:
-                cyc = [x]
-                while (y := unseen.pop(cyc[-1])) != x:
-                    cyc.append(y)
-                cycles.append(tuple(cyc))
-        self._cycles = tuple(cycles)
-        self._succ = succ
-        self._pred = dict(zip(succ.values(), succ))
+    @classmethod
+    def _from_succ(cls, succ: dict[int, int]) -> "CycleDecomposition":
+        """The permutation with successor map ``succ``, built without any
+        check.
+
+        Only for a ``succ`` that is a permutation by construction: its
+        values are its keys, each once, and every key is a nonnegative
+        integer.  The caller states why that holds.  ``succ`` is kept, not
+        copied, and its insertion order does not matter.
+        """
+        perm = cls.__new__(cls)
+        perm._succ = succ
+        perm._cycles = perm._pred = None
+        return perm
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical cycles, computed on first use and cached.  Each is
+        walked from the least label not yet seen, so it comes out canonical."""
+        if self._cycles is None:
+            unseen = dict(self._succ)
+            cycles = []
+            for x in sorted(unseen):
+                if x in unseen:
+                    cyc = [x]
+                    while (y := unseen.pop(cyc[-1])) != x:
+                        cyc.append(y)
+                    cycles.append(tuple(cyc))
+            self._cycles = tuple(cycles)
         return self._cycles
 
     @property
     def ground_set(self) -> tuple[int, ...]:
-        return self._ground
+        return tuple(sorted(self._succ))
 
     @property
     def size(self) -> int:
-        return len(self._ground)
+        return len(self._succ)
 
     @property
     def is_derangement(self) -> bool:
-        return all(len(c) >= 2 for c in self._cycles)
+        return all(map(operator.ne, self._succ, self._succ.values()))
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self._cycles if len(c) == 1)
+        return tuple(sorted(x for x, y in self._succ.items() if x == y))
 
     def _require(self, x: int) -> None:
         if x not in self._succ:
@@ -104,6 +120,8 @@ class CycleDecomposition:
 
     def preimage(self, x: int) -> int:
         self._require(x)
+        if self._pred is None:
+            self._pred = dict(zip(self._succ.values(), self._succ))
         return self._pred[x]
 
     def two_cycle_partner(self, x: int) -> int | None:
@@ -115,26 +133,26 @@ class CycleDecomposition:
     def remove_cycle_of(self, x: int) -> "CycleDecomposition":
         """Drop the whole cycle containing ``x``."""
         self._require(x)
-        return CycleDecomposition(c for c in self._cycles if x not in c)
+        return CycleDecomposition(c for c in self.cycles if x not in c)
 
     def relabel(self, mapping: Union[Mapping[int, int], Callable[[int], int]]) -> "CycleDecomposition":
         """Apply ``mapping`` to every label, preserving cycle structure."""
         fn = mapping.__getitem__ if isinstance(mapping, Mapping) else mapping
         try:
-            return CycleDecomposition(tuple(fn(x) for x in cyc) for cyc in self._cycles)
+            return CycleDecomposition(tuple(fn(x) for x in cyc) for cyc in self.cycles)
         except KeyError as exc:
             raise DomainError(f"label {exc.args[0]} missing from relabeling") from None
 
     def serialize(self) -> str:
-        return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in self._cycles)
+        return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in self.cycles)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycleDecomposition):
             return NotImplemented
-        return self._cycles == other._cycles
+        return self._succ == other._succ
 
     def __hash__(self) -> int:
-        return hash(self._cycles)
+        return hash(self.cycles)
 
     def __repr__(self) -> str:
         return f"CycleDecomposition.parse({self.serialize()!r})"

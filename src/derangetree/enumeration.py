@@ -34,13 +34,14 @@ def gen_increasing_trees(n: int) -> Iterator[IncreasingTree]:
     """All (n-1)! increasing trees on {0, ..., n-1}, in a fixed order.
 
     Vertex v's parent ranges over 0..v-1; the stream is the lexicographic
-    product of those choices and is restartable.
+    product of those choices and is restartable.  So every parent map
+    sends each of 1..n-1 to a smaller label, and each tree is built from
+    it without the constructor's checks.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     for choices in itertools.product(*(range(v) for v in range(1, n))):
-        parent = {v: p for v, p in enumerate(choices, start=1)}
-        yield IncreasingTree(parent, labels=range(n))
+        yield IncreasingTree._standard(dict(enumerate(choices, start=1)))
 
 
 def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
@@ -48,8 +49,10 @@ def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
 
     The one-line words come in lexicographic order, built by backtracking
     position by position over the values still free, never putting i at
-    position i; so no word with a fixed point is ever built.  Empty for
-    n = 1.
+    position i; so no word with a fixed point is ever built.  Each value
+    goes into one position at most, so every word is a permutation of
+    0..n-1, and the permutation is built from it without ``from_word``'s
+    check.  Empty for n = 1.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -67,7 +70,9 @@ def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
                 free[word.pop()] = True
             continue
         if i == n - 1:
-            yield CycleDecomposition.from_word((*word, x))
+            succ = dict(enumerate(word))
+            succ[i] = x
+            yield CycleDecomposition._from_succ(succ)
             continue
         word.append(x)
         free[x] = False
@@ -243,13 +248,18 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     One pass maps every derangement p forward and checks that the images
     are distinct and that ``inverse(forward(p)) == p``; a scan of the
     marked trees then checks that each is an image, and the two counts are
-    compared.  That is enough.  Every image is a valid ``MarkedTree`` (its
-    constructor checks the mark), the images are distinct and cover every
-    marked tree of size n, and there are as many derangements as marked
-    trees, so the images are exactly the marked trees of size n and
-    ``forward`` is a bijection onto them.  ``inverse∘forward = id`` then
-    makes ``inverse`` its two-sided inverse: every marked tree is some
-    ``forward(p)``, and ``inverse``, being deterministic, sends it to p, so
+    compared.  That is enough, and it rests on these checks alone, not on
+    any constructor: ``forward`` builds its images without re-validating
+    them.  Images are compared by their text, which spells out the whole
+    parent map and the mark.  The image texts are distinct, one per
+    derangement, and the scan finds among them the text of each of the
+    marked trees of size n, which are as many as the derangements.  So the
+    image texts are exactly the texts of the marked trees of size n.  An
+    image's state is derived from its parent map alone, so each image is
+    the marked tree its text names, and ``forward`` is a bijection onto
+    the marked trees.  ``inverse∘forward = id`` then makes ``inverse`` its
+    two-sided inverse: every marked tree is some ``forward(p)``, and
+    ``inverse``, being deterministic, sends it to p, so
     ``forward(inverse(mt)) = mt`` needs no second pass.
 
     Any exception raised along the way is recorded as a failure rather

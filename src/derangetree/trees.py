@@ -78,6 +78,29 @@ class IncreasingTree:
         self._children = {v: tuple(c) for v, c in children.items()}
         self._ranks: dict[int, int] | None = None
 
+    @classmethod
+    def _standard(cls, parent: dict[int, int]) -> "IncreasingTree":
+        """The tree on {0, ..., n-1}, n = len(parent) + 1, with parent map
+        ``parent``, built without the constructor's checks.
+
+        Only for a ``parent`` that is valid by construction: its keys are
+        exactly 1..n-1 and each maps to a smaller label.  Those facts imply
+        every check of the constructor, and the caller states why they
+        hold.  ``parent`` is kept, not copied.  Labels and ascending
+        children are derived from it alone, as the constructor derives
+        them, so the tree's state is a function of its parent map.
+        """
+        tree = cls.__new__(cls)
+        labels = tuple(range(len(parent) + 1))
+        children: dict[int, list[int]] = {v: [] for v in labels}
+        for v in labels[1:]:
+            children[parent[v]].append(v)
+        tree._labels = labels
+        tree._parent = parent
+        tree._children = {v: tuple(c) for v, c in children.items()}
+        tree._ranks = None
+        return tree
+
     @property
     def size(self) -> int:
         return len(self._labels)
@@ -204,7 +227,7 @@ class IncreasingTree:
         """Canonical text: ``size=n;parents=p1,...`` on 0..n-1, otherwise
         ``labels=...;edges=child:parent,...`` with children ascending."""
         if self.is_standard:
-            body = ",".join(str(self._parent[v]) for v in self._labels[1:])
+            body = ",".join(map(str, map(self._parent.__getitem__, self._labels[1:])))
             return f"size={self.size};parents={body}"
         labels = ",".join(str(x) for x in self._labels)
         edges = ",".join(f"{v}:{self._parent[v]}" for v in self._labels[1:])

@@ -21,7 +21,7 @@ from derangetree import (
     inverse,
     parse_cycles,
 )
-from util import independent_case_conditions
+from util import assert_matches_validated, independent_case_conditions
 
 # worked mappings, copied from the construction's defining figures
 GOLDEN = [
@@ -147,6 +147,16 @@ def test_restructure_needs_rank_one_mark():
         case2a_restructure(t, 0, 1)  # rank(1) is 2 here
 
 
+def test_restructure_validates_the_callers_label():
+    # the result goes through the validating constructor, which names j
+    with pytest.raises(DomainError) as exc:
+        case2a_restructure(IncreasingTree({1: 0, 2: 1, 3: 1}), -1, 1)
+    assert str(exc.value) == "negative label: -1"
+    with pytest.raises(TypeError) as exc:
+        case2a_restructure(IncreasingTree({1: 0, 2: 1, 3: 2}), 1.5, 2)
+    assert str(exc.value) == "'float' object cannot be interpreted as an integer"
+
+
 def _first_rank1_after(tree, start):
     walk = tree.depth_search_walk(start)
     return next(x for x in walk[1:] if tree.rank(x) == 1)
@@ -222,6 +232,13 @@ def test_forward_output_always_well_formed():
         assert mt.tree.is_standard
         assert mt.tree.size == 6
         assert mt.tree.rank(mt.mark) == 1
+
+
+def test_forward_images_match_validated_rebuild():
+    # images are built from their parent map without the constructor's checks
+    for n in range(2, 9):
+        for p in gen_derangements(n):
+            assert_matches_validated(forward(p).tree)
 
 
 @st.composite

@@ -1,10 +1,20 @@
 import itertools
+import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from derangetree import CycleDecomposition, DomainError, FormatError, parse_cycles
+from derangetree import (
+    CycleDecomposition,
+    DomainError,
+    FormatError,
+    forward,
+    gen_derangements,
+    inverse,
+    parse_cycles,
+)
+from util import canonical_cycles, fixed_point_free_words
 
 
 def test_canonical_rotation_and_order():
@@ -216,3 +226,49 @@ def test_generators_agree_with_itertools_filter():
     # every size-4 permutation without fixed points, via an independent route
     raw = [w for w in itertools.permutations(range(4)) if all(w[i] != i for i in range(4))]
     assert len({CycleDecomposition.from_word(w) for w in raw}) == 9
+
+
+# -- successor map stored, canonical cycles computed on first use --
+
+def assert_same_permutation(p, word):
+    """``p`` against the permutation i -> word[i] built by both validating
+    routes, each freshly built, so that no cache is warm on the reference
+    side; the reads that need no canonical cycles come first."""
+    labels = range(len(word))
+    preimages = sorted(labels, key=word.__getitem__)
+    fixed = tuple(i for i in labels if word[i] == i)
+    cycles = canonical_cycles(word)
+    for ref in (CycleDecomposition(p.cycles), CycleDecomposition.from_word(word)):
+        assert p == ref and ref == p
+        assert p.is_derangement == ref.is_derangement == (not fixed)
+        assert p.fixed_points() == ref.fixed_points() == fixed
+        assert [p.image(i) for i in labels] == [ref.image(i) for i in labels] == list(word)
+        assert [p.preimage(i) for i in labels] == [ref.preimage(i) for i in labels] == preimages
+        assert p.size == ref.size == len(word)
+        assert p.ground_set == ref.ground_set == tuple(labels)
+        assert hash(p) == hash(ref)
+        assert p.cycles == ref.cycles == cycles
+        assert p.serialize() == ref.serialize()
+
+
+def test_generated_and_inverted_permutations_match_validated():
+    reordered = 0
+    for n in range(1, 9):
+        words = fixed_point_free_words(n)  # gen_derangements' order
+        for p, word in zip(gen_derangements(n), words, strict=True):
+            assert_same_permutation(p, word)
+            # every marked tree is some forward(p), so this is every inverse output
+            back = inverse(forward(p)) if n >= 2 else p
+            assert_same_permutation(back, word)
+            reordered += list(back._succ) != sorted(back._succ)
+    assert reordered  # inverse's splices insert labels out of order
+
+
+def test_random_words_with_fixed_points_match_validated():
+    rng = random.Random(2024)
+    for n in range(10):
+        words = [tuple(range(n))] + [tuple(rng.sample(range(n), n)) for _ in range(30)]
+        for word in words:
+            assert_same_permutation(CycleDecomposition.from_word(word), word)
+            backwards = dict(reversed(list(enumerate(word))))
+            assert_same_permutation(CycleDecomposition._from_succ(backwards), word)

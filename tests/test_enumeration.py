@@ -20,7 +20,13 @@ from derangetree import (
     verify_bijection,
 )
 from derangetree.cli import run
-from util import brute_rank_count, factorial, fixed_point_free_words, subfactorial
+from util import (
+    assert_matches_validated,
+    brute_rank_count,
+    factorial,
+    fixed_point_free_words,
+    subfactorial,
+)
 
 
 # -- generators --
@@ -36,6 +42,12 @@ def test_trees_are_distinct_and_valid():
         trees = list(gen_increasing_trees(n))
         assert len(set(trees)) == len(trees) == factorial(n - 1)
         assert all(t.is_standard and t.size == n for t in trees)
+
+
+def test_generated_trees_match_validated_rebuild():
+    for n in range(1, 8):
+        for t in gen_increasing_trees(n):
+            assert_matches_validated(t)
 
 
 def test_gen_trees_rejects_zero():

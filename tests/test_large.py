@@ -11,6 +11,7 @@ import pytest
 
 from derangetree import CaseTag, CycleDecomposition, MarkedTree, forward, forward_with_case, inverse
 from derangetree.cli import run
+from util import assert_matches_validated
 
 N = 5000
 
@@ -40,6 +41,11 @@ def test_round_trip_deep_shapes(name):
     mt = forward(p)
     assert mt.size == N
     assert inverse(mt) == p
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_deep_images_match_validated_rebuild(name):
+    assert_matches_validated(forward(CycleDecomposition(SHAPES[name])).tree)
 
 
 def test_nested_pairs_restructure_at_every_level():

@@ -110,3 +110,27 @@ def independent_case_conditions(mt: MarkedTree) -> dict[CaseTag, bool]:
         CaseTag.C1A: v == m and len(kids) > 1 and any(t.rank(c) == 0 for c in siblings),
         CaseTag.C2A: v == m and len(kids) > 1 and all(t.rank(c) != 0 for c in siblings),
     }
+
+
+def assert_matches_validated(tree: IncreasingTree) -> None:
+    """``tree`` against the tree the validating constructor builds from its
+    parent map on 0..n-1: equal, with equal hash and text, and with the same
+    children, in the same order, at every vertex."""
+    ref = IncreasingTree(dict(tree._parent), labels=range(tree.size))
+    assert tree == ref and hash(tree) == hash(ref)
+    assert tree.labels == ref.labels
+    assert all(tree.children(v) == ref.children(v) for v in ref.labels)
+    assert tree.serialize() == ref.serialize()
+
+
+def canonical_cycles(word) -> tuple[tuple[int, ...], ...]:
+    """Cycles of i -> word[i], each rotated to start at its least label and
+    sorted by it, found by following images from every label."""
+    cycles = set()
+    for i in range(len(word)):
+        cyc = [i]
+        while word[cyc[-1]] != i:
+            cyc.append(word[cyc[-1]])
+        least = cyc.index(min(cyc))
+        cycles.add(tuple(cyc[least:] + cyc[:least]))
+    return tuple(sorted(cycles))
