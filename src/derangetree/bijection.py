@@ -101,18 +101,6 @@ class Relabeling:
             raise DomainError(f"index {i} outside range 0..{len(self._labels) - 1}")
         return self._labels[i]
 
-    def compress(self, p: CycleDecomposition) -> CycleDecomposition:
-        return p.relabel(self.forward)
-
-    def expand(self, p: CycleDecomposition) -> CycleDecomposition:
-        return p.relabel(self.backward)
-
-    def compress_tree(self, t: IncreasingTree) -> IncreasingTree:
-        return t.relabel(self.forward)
-
-    def expand_tree(self, t: IncreasingTree) -> IncreasingTree:
-        return t.relabel(self.backward)
-
     def __repr__(self) -> str:
         return f"Relabeling({self._labels!r})"
 
@@ -271,7 +259,7 @@ def case2a_restructure(t: IncreasingTree, j: int, k: int) -> IncreasingTree:
         raise DomainError(f"mark {k} must exceed the inserted label {j}")
     if j in t:
         raise DomainError(f"label {j} already in tree")
-    if t.rank(k) != 1:
+    if not t.has_leaf_child(k):  # DomainError for an unknown k
         raise DomainError(f"vertex {k} has rank {t.rank(k)}, need rank 1")
     tree = _Draft.of(t)
     _restructure(tree, j, k)

@@ -10,7 +10,7 @@ permutation with no fixed point, i.e. no cycle of length 1.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DomainError, FormatError
 
@@ -123,25 +123,6 @@ class CycleDecomposition:
         if self._pred is None:
             self._pred = dict(zip(self._succ.values(), self._succ))
         return self._pred[x]
-
-    def two_cycle_partner(self, x: int) -> int | None:
-        """The other element of x's cycle if that cycle has length 2, else None."""
-        self._require(x)
-        y = self._succ[x]
-        return y if y != x and self._succ[y] == x else None
-
-    def remove_cycle_of(self, x: int) -> "CycleDecomposition":
-        """Drop the whole cycle containing ``x``."""
-        self._require(x)
-        return CycleDecomposition(c for c in self.cycles if x not in c)
-
-    def relabel(self, mapping: Union[Mapping[int, int], Callable[[int], int]]) -> "CycleDecomposition":
-        """Apply ``mapping`` to every label, preserving cycle structure."""
-        fn = mapping.__getitem__ if isinstance(mapping, Mapping) else mapping
-        try:
-            return CycleDecomposition(tuple(fn(x) for x in cyc) for cyc in self.cycles)
-        except KeyError as exc:
-            raise DomainError(f"label {exc.args[0]} missing from relabeling") from None
 
     def serialize(self) -> str:
         return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in self.cycles)

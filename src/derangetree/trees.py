@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import DomainError, FormatError
 
@@ -115,8 +115,14 @@ class IncreasingTree:
 
     @property
     def is_standard(self) -> bool:
-        """True when the ground set is exactly {0, ..., n-1}."""
-        return self._labels == tuple(range(len(self._labels)))
+        """True when the ground set is exactly {0, ..., n-1}.
+
+        Labels are stored sorted, distinct and nonnegative: the constructor
+        checks this and ``_standard`` takes them from ``range``.  n such
+        integers end at n-1 or above, and at exactly n-1 only when they are
+        0..n-1, so the last label decides it.
+        """
+        return self._labels[-1] == len(self._labels) - 1
 
     def __contains__(self, v: int) -> bool:
         return v in self._children
@@ -210,16 +216,6 @@ class IncreasingTree:
             parent[x] = stack[-1]
             stack.append(x)
         return cls(parent, labels=range(n))
-
-    def relabel(self, mapping: Union[Mapping[int, int], Callable[[int], int]]) -> "IncreasingTree":
-        """Apply ``mapping`` to every label; the result must still be increasing."""
-        fn = mapping.__getitem__ if isinstance(mapping, Mapping) else mapping
-        try:
-            new_labels = [fn(x) for x in self._labels]
-            new_parent = {fn(v): fn(p) for v, p in self._parent.items()}
-        except KeyError as exc:
-            raise DomainError(f"label {exc.args[0]} missing from relabeling") from None
-        return IncreasingTree(new_parent, new_labels)
 
     # -- text form --
 

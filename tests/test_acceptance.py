@@ -11,7 +11,6 @@ import time
 
 from derangetree import (
     IncreasingTree,
-    Relabeling,
     case2a_restructure,
     classify_tree,
     forward,
@@ -23,7 +22,7 @@ from derangetree import (
     recurrence_check,
     verify_bijection,
 )
-from util import descent_count, factorial, independent_case_conditions
+from util import descent_count, factorial, independent_case_conditions, lift, lift_tree
 
 MAX_N = 8
 
@@ -132,29 +131,28 @@ def test_criterion_5_case_coherence_and_partition():
 
 def test_criterion_6_c2a_walk_property():
     violations = 0
-    checked = 0
+    counts = []
     for n in range(4, MAX_N + 1):
-        top = n - 1
-        for p in gen_derangements(n):
-            j = p.two_cycle_partner(top)
-            if j is None:
-                continue
-            reduced = p.remove_cycle_of(top)
-            relab = Relabeling(reduced.ground_set)
-            sub = forward(relab.compress(reduced))
-            t = relab.expand_tree(sub.tree)
-            k = relab.backward(sub.mark)
-            if k < j:
-                continue  # C2b
-            checked += 1
-            restructured = case2a_restructure(t, j, k)
-            walk = restructured.depth_search_walk(j)
-            first = next(x for x in walk[1:] if restructured.rank(x) == 1)
-            if first != k:
-                violations += 1
+        # a derangement q of size n-2 with a free label j stands for the one
+        # size-n derangement that is q lifted past j plus the 2-cycle (j n-1)
+        checked = 0
+        for q in gen_derangements(n - 2):
+            sub = forward(q)
+            for j in range(n - 1):
+                k = lift(sub.mark, j)
+                if k < j:
+                    continue  # C2b
+                checked += 1
+                restructured = case2a_restructure(lift_tree(sub.tree, j), j, k)
+                walk = restructured.depth_search_walk(j)
+                first = next(x for x in walk[1:] if restructured.rank(x) == 1)
+                if first != k:
+                    violations += 1
+        counts.append(checked)
     _line("criterion 6: restructured walk meets the old mark first", violations == 0,
-          f"{checked} C2a derangements")
+          f"{sum(counts)} C2a derangements")
     assert violations == 0
+    assert counts == [1, 3, 16, 95, 666]
 
 
 def test_criterion_7_recurrence_data():

@@ -21,7 +21,7 @@ from derangetree import (
     inverse,
     parse_cycles,
 )
-from util import assert_matches_validated, independent_case_conditions
+from util import assert_matches_validated, independent_case_conditions, lift_tree
 
 # worked mappings, copied from the construction's defining figures
 GOLDEN = [
@@ -134,17 +134,28 @@ def test_restructure_trivial_descent():
 
 
 def test_restructure_contract_violation():
-    t = IncreasingTree({2: 1}, labels=[1, 2])
-    with pytest.raises(DomainError):
-        case2a_restructure(t, 3, 1)
-    with pytest.raises(DomainError):
-        case2a_restructure(t, 1, 1)
+    s = IncreasingTree({2: 1}, labels=[1, 2])
+    t = IncreasingTree({2: 1, 3: 2}, labels=[1, 2, 3])
+    for tree, j, k, message in [
+        (s, 3, 1, "mark 1 must exceed the inserted label 3"),
+        (s, 1, 1, "mark 1 must exceed the inserted label 1"),
+        (t, 2, 3, "label 2 already in tree"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            case2a_restructure(tree, j, k)
+        assert str(exc.value) == message
 
 
 def test_restructure_needs_rank_one_mark():
     t = IncreasingTree({2: 1, 3: 2}, labels=[1, 2, 3])
-    with pytest.raises(DomainError):
-        case2a_restructure(t, 0, 1)  # rank(1) is 2 here
+    for k, message in [
+        (1, "vertex 1 has rank 2, need rank 1"),
+        (3, "vertex 3 has rank 0, need rank 1"),
+        (9, "unknown vertex label: 9"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            case2a_restructure(t, 0, k)
+        assert str(exc.value) == message
 
 
 def test_restructure_validates_the_callers_label():
@@ -167,7 +178,7 @@ def test_restructure_walk_property_exhaustive():
     for m in range(2, 6):
         for t in gen_increasing_trees(m):
             for j in range(m + 1):
-                lifted = t.relabel(lambda x: x if x < j else x + 1)
+                lifted = lift_tree(t, j)
                 for k in lifted.labels:
                     if lifted.rank(k) != 1 or k < j:
                         continue
@@ -269,19 +280,3 @@ def test_relabeling_maps_and_inverts():
         r.forward(2)
     with pytest.raises(DomainError):
         r.backward(4)
-
-
-def test_relabeling_compress_expand():
-    p = parse_cycles("(1 3 5 2 6 8)(4 7)")
-    r = Relabeling(p.ground_set)
-    q = r.compress(p)
-    assert q.serialize() == "(0 2 4 1 5 7)(3 6)"
-    assert r.expand(q) == p
-
-
-def test_relabeling_trees():
-    t = IncreasingTree({3: 1, 5: 3}, labels=[1, 3, 5])
-    r = Relabeling(t.labels)
-    compressed = r.compress_tree(t)
-    assert compressed == IncreasingTree({1: 0, 2: 1})
-    assert r.expand_tree(compressed) == t

@@ -79,36 +79,6 @@ def test_is_derangement():
     assert parse_cycles("(0)(1 2)").fixed_points() == (0,)
 
 
-def test_two_cycle_partner():
-    p = parse_cycles("(0 9)(1 3 5 2 6 8)(4 7)")
-    assert p.two_cycle_partner(9) == 0
-    assert p.two_cycle_partner(4) == 7
-    assert p.two_cycle_partner(8) is None
-
-
-def test_remove_cycle_of():
-    p = parse_cycles("(0 9)(1 3 5 2 6 8)(4 7)")
-    assert p.remove_cycle_of(9).serialize() == "(1 3 5 2 6 8)(4 7)"
-
-
-def test_relabel_order_isomorphism():
-    p = parse_cycles("(1 3 5 2 6 8)(4 7)")
-    down = {x: i for i, x in enumerate(sorted(p.ground_set))}
-    q = p.relabel(down)
-    assert q.serialize() == "(0 2 4 1 5 7)(3 6)"
-    # functional check: relabeling commutes with the permutation action
-    for x in p.ground_set:
-        assert q.image(down[x]) == down[p.image(x)]
-
-
-def test_relabel_more_examples():
-    assert parse_cycles("(2 5)(3 4)").relabel({2: 0, 3: 1, 4: 2, 5: 3}).serialize() == "(0 3)(1 2)"
-    p = parse_cycles("(0 1 2)")
-    assert p.relabel({0: 0, 1: 1, 2: 2}) == p
-    with pytest.raises(DomainError):
-        p.relabel({0: 0, 1: 1})
-
-
 def test_from_word():
     assert CycleDecomposition.from_word((1, 0, 3, 2)).serialize() == "(0 1)(2 3)"
     assert CycleDecomposition.from_word((0, 1, 2)).serialize() == "(0)(1)(2)"

@@ -1,14 +1,13 @@
 import doctest
+import importlib
+import pkgutil
 
-import derangetree.cycles
-import derangetree.trees
+import pytest
 
-
-def test_trees_doctests():
-    failures, _ = doctest.testmod(derangetree.trees)
-    assert failures == 0
+import derangetree
 
 
-def test_cycles_doctests():
-    failures, _ = doctest.testmod(derangetree.cycles)
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(derangetree.__path__)])
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(f"derangetree.{name}"))
     assert failures == 0

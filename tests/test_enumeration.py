@@ -25,6 +25,7 @@ from util import (
     brute_rank_count,
     factorial,
     fixed_point_free_words,
+    marked_tree_texts,
     subfactorial,
 )
 
@@ -85,6 +86,11 @@ def test_marked_tree_counts():
     marked2 = list(gen_marked_trees(2))
     assert len(marked2) == 1 and marked2[0].serialize() == "size=2;parents=0;mark=0"
     assert len(list(gen_marked_trees(5))) == 44
+
+
+def test_marked_stream_order():
+    for n in range(1, 7):
+        assert [mt.serialize() for mt in gen_marked_trees(n)] == marked_tree_texts(n)
 
 
 def test_stream_determinism():

@@ -234,19 +234,19 @@ def test_generalized_ground_set():
     assert t.rank(4) == 1
 
 
+def test_is_standard():
+    for labels, standard in [([0], True), ([5], False), ([0, 1, 2], True),
+                             ([1, 2, 3], False), ([0, 2], False), ([0, 1, 3], False)]:
+        tree = IncreasingTree({v: labels[0] for v in labels[1:]}, labels=labels)
+        assert tree.is_standard is standard
+
+
 def test_parent_of_and_contains():
     assert EXAMPLE_TREE.parent_of(7) == 4
     assert EXAMPLE_TREE.parent_of(0) is None
     assert 5 in EXAMPLE_TREE and 9 not in EXAMPLE_TREE
     with pytest.raises(DomainError):
         EXAMPLE_TREE.parent_of(9)
-
-
-def test_relabel():
-    t = IncreasingTree({2: 1, 3: 1}, labels=[1, 2, 3])
-    assert t.relabel({1: 0, 2: 1, 3: 2}) == IncreasingTree({1: 0, 2: 0})
-    with pytest.raises(DomainError):
-        t.relabel({1: 0, 2: 1})  # 3 missing
 
 
 # -- serialization --

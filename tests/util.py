@@ -40,12 +40,43 @@ def _brute_rank_histogram(n: int) -> dict[int, int]:
     among the smaller labels, and every vertex is ranked by ``brute_rank``.
     """
     hist: dict[int, int] = {}
-    for choices in itertools.product(*(range(v) for v in range(1, n))):
-        tree = IncreasingTree(dict(enumerate(choices, start=1)), labels=range(n))
+    for _, tree in _trees_by_parent_choice(n):
         for v in range(n):
             r = brute_rank(tree, v)
             hist[r] = hist.get(r, 0) + 1
     return hist
+
+
+def _trees_by_parent_choice(n: int):
+    """Every tree on 0..n-1 with its parent choices for 1..n-1, each vertex
+    choosing among the smaller labels, in ``itertools.product`` order and
+    built by the validating constructor."""
+    for choices in itertools.product(*(range(v) for v in range(1, n))):
+        yield choices, IncreasingTree(dict(enumerate(choices, start=1)), labels=range(n))
+
+
+def marked_tree_texts(n: int) -> list[str]:
+    """Text of every marked tree of size n in stream order: trees by parent
+    choice, then the rank-1 vertices of each in ascending order, with the
+    text spelled out from the choices."""
+    out = []
+    for choices, tree in _trees_by_parent_choice(n):
+        parents = ",".join(map(str, choices))
+        out.extend(f"size={n};parents={parents};mark={v}"
+                   for v in range(n) if brute_rank(tree, v) == 1)
+    return out
+
+
+def lift(x: int, j: int) -> int:
+    """``x`` moved up by one when it is at least ``j``, leaving ``j`` free."""
+    return x if x < j else x + 1
+
+
+def lift_tree(tree: IncreasingTree, j: int) -> IncreasingTree:
+    """``tree`` with every label ``>= j`` raised by one, rebuilt by the
+    validating constructor from ``parent_of``."""
+    parent = {lift(v, j): lift(tree.parent_of(v), j) for v in tree.labels if v != tree.root}
+    return IncreasingTree(parent, labels=[lift(v, j) for v in tree.labels])
 
 
 def recursive_walk(tree: IncreasingTree, v: int) -> list[int]:
