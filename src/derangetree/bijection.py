@@ -16,7 +16,7 @@ top = max S:
   under j (C2b).  With k > j, ``case2a_restructure`` first inserts j on the
   root-to-k path and pulls subtrees under j until the walk from j meets k
   before any other rank-1 vertex; then top is hung under j (C2a).  Either
-  way j is the mark.
+  way j is the mark.  ``_undo_restructure`` undoes one C2a level in O(n).
 * |S| = 2 is the one base case.  Size 3 comes out of C1 on it, (0 1 2)
   by C1cII and (0 2 1) by C1a, and keeps only its tag, ``BASE3``.
 
@@ -49,10 +49,10 @@ constructor.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .cycles import CycleDecomposition
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError
 from .trees import IncreasingTree, MarkedTree
 
 
@@ -140,17 +140,6 @@ class _Draft:
         """Whether ``x`` has rank 1."""
         children = self.children
         return any(not children[c] for c in children[x])
-
-    def first_in_walk(self, start: int, wanted: Callable[[int], bool]) -> int | None:
-        """The first vertex of ``IncreasingTree.depth_search_walk(start)``
-        that is ``wanted``, or None."""
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if wanted(x):
-                return x
-            stack.extend(sorted(self.children[x]))
-        return None
 
     def add_leaf(self, v: int, p: int) -> None:
         self.parent[v] = p
@@ -307,12 +296,13 @@ def classify_tree(mt: MarkedTree) -> CaseTag:
         return CaseTag.BASE2
     if n == 3:
         return CaseTag.BASE3
-    return _classify(_Draft.of(mt.tree), mt.mark, n - 1)
+    return _classify(_Draft(mt.tree._parent, mt.tree._children), mt.mark, n - 1)
 
 
 def _classify(tree: _Draft, m: int, top: int) -> CaseTag:
     """``classify_tree`` for mark ``m`` of rank 1 and largest label ``top``,
-    on at least three vertices."""
+    on at least three vertices.  It never writes to ``tree``, so it also
+    reads an ``IncreasingTree``'s own maps, with tuple children, in place."""
     v = tree.parent[top]
     kids = tree.children[m]
     if v == m:
@@ -330,24 +320,32 @@ def _undo_restructure(tree: _Draft, m: int) -> int:
     """Undo ``_restructure`` that inserted ``m``, once top is deleted from
     under it; returns the old mark.
 
-    The walk from ``m`` locates the old mark k (first rank-1 vertex after
-    ``m``), each child of ``m`` but the smallest goes back under the first
+    The old mark k is the first rank-1 vertex in the walk from ``m``.  Each
+    child of ``m`` but the smallest, a mover, goes back under the first
     vertex in its next smaller sibling's walk that can adopt it (rank 1, or
-    rank >= 2 with some child greater than it), and ``m`` is spliced out in
-    favor of its remaining child.
+    a child greater than the mover); then ``m`` is spliced out in favor of
+    its remaining child.  Both walks are descents to the greatest child:
+
+    * C2a means no child of ``m`` but top is a leaf, and top is gone, so
+      ``m`` and every mover are non-leaves.
+    * A vertex the walk does not want has no leaf child, and in the anchor
+      walk no child above the mover, so its greatest child is a non-leaf
+      below the mover.  By induction the walk meets no leaf and never
+      backtracks, on every tree that gets here, not only on images.
+    * It stops, as labels increase, and each anchor is below its mover.
+    * One call is O(n).  The k descent runs before any move, and each
+      anchor descent in the subtree of the next smaller mover, which no
+      earlier move touched.  So each vertex is visited at most once and
+      its child set read at most twice.
     """
-    # no child of m is a leaf (C2a), so m itself is not wanted
-    k = tree.first_in_walk(m, tree.has_leaf_child)
-    if k is None:
-        raise InternalInvariantError(f"no rank-1 vertex after {m} in the walk from it")
+    k = m
+    while not tree.has_leaf_child(k):
+        k = max(tree.children[k])
     movers = sorted(tree.children[m])
     for i in range(len(movers) - 1, 0, -1):
-        mover = movers[i]
-        anchor = tree.first_in_walk(movers[i - 1], lambda x: tree.has_leaf_child(x)
-                                    or any(c > mover for c in tree.children[x]))
-        if anchor is None or anchor >= mover:
-            raise InternalInvariantError(
-                f"no valid reattachment point for {mover} below {movers[i - 1]}")
+        mover, anchor = movers[i], movers[i - 1]
+        while not tree.has_leaf_child(anchor) and (greatest := max(tree.children[anchor])) < mover:
+            anchor = greatest
         tree.move(mover, anchor)
     if m in tree.parent:
         tree.move(movers[0], tree.parent[m])

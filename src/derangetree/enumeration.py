@@ -80,13 +80,16 @@ def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
 
 
 def gen_marked_trees(n: int) -> Iterator[MarkedTree]:
-    """Every (tree, rank-1 vertex) pair for size n, each exactly once."""
+    """Every (tree, rank-1 vertex) pair for size n, each exactly once.
+
+    The rank-1 vertices are the parents of leaves, taken in ascending
+    order; ``MarkedTree`` checks each once.
+    """
     if n < 1:
         raise DomainError("n must be at least 1")
     for tree in gen_increasing_trees(n):
-        for v in tree.labels:
-            if tree.has_leaf_child(v):  # rank 1
-                yield MarkedTree(tree, v)
+        for v in sorted({tree.parent_of(x) for x in tree.labels[1:] if not tree.children(x)}):
+            yield MarkedTree(tree, v)
 
 
 def count_rank_k(n: int, k: int) -> int:

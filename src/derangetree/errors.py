@@ -12,8 +12,9 @@ class DomainError(ValueError):
 class InternalInvariantError(RuntimeError):
     """A structural guarantee of the construction failed to hold.
 
-    These conditions are believed impossible; exhaustive verification
-    records them as failures instead of silently producing a wrong answer.
+    No library code raises it.  It stays public as the contract behind
+    exhaustive verification, which records one as a failure instead of
+    silently producing a wrong answer, and behind the CLI's exit code 3.
     """
 
 

@@ -1,4 +1,5 @@
-"""Round trips far past the sizes the exhaustive checks reach.
+"""Round trips far past the sizes the exhaustive checks reach, from both
+sides: derangements and seeded uniform random marked trees.
 
 ``forward`` and ``inverse`` run as loops, so their depth is not bounded by
 the interpreter's recursion limit; each input here has one level per label
@@ -9,9 +10,10 @@ import random
 
 import pytest
 
-from derangetree import CaseTag, CycleDecomposition, MarkedTree, forward, forward_with_case, inverse
+from derangetree import (CaseTag, CycleDecomposition, MarkedTree, bijection, forward,
+                         forward_with_case, inverse)
 from derangetree.cli import run
-from util import assert_matches_validated
+from util import assert_matches_validated, random_marked_tree
 
 N = 5000
 
@@ -61,6 +63,39 @@ def test_nested_pairs_restructure_at_every_level():
 def test_round_trip_deep_random(seed):
     p = random_derangement(random.Random(seed), N)
     assert inverse(forward(p)) == p
+
+
+RANDOM_TREES = [(n, seed) for n in (100, 1000, 10000) for seed in (1, 2, 3)]
+
+
+def random_marked_trees(n, seed):
+    rng = random.Random(seed)
+    return [random_marked_tree(rng, n) for _ in range(3)]
+
+
+@pytest.mark.parametrize("n, seed", RANDOM_TREES)
+def test_round_trip_random_marked_trees(n, seed):
+    for mt in random_marked_trees(n, seed):
+        image = forward(inverse(mt))
+        assert image == mt
+        assert_matches_validated(image.tree)
+
+
+def test_random_marked_trees_undo_c2a_with_several_movers(monkeypatch):
+    # the samples above run the C2a undo, some calls with three or more
+    # children of the inserted label to send back
+    movers = []
+    undo = bijection._undo_restructure
+
+    def counted(tree, m):
+        movers.append(len(tree.children[m]))
+        return undo(tree, m)
+
+    monkeypatch.setattr(bijection, "_undo_restructure", counted)
+    for n, seed in RANDOM_TREES:
+        for mt in random_marked_trees(n, seed):
+            inverse(mt)
+    assert len(movers) >= 20 and max(movers) >= 3
 
 
 def test_round_trip_deep_chain():

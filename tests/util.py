@@ -79,6 +79,22 @@ def lift_tree(tree: IncreasingTree, j: int) -> IncreasingTree:
     return IncreasingTree(parent, labels=[lift(v, j) for v in tree.labels])
 
 
+def random_marked_tree(rng, n: int) -> MarkedTree:
+    """A uniform marked tree of size n >= 2, drawn with ``rng``.
+
+    Each v in 1..n-1 takes a parent uniform in 0..v-1, so each of the
+    (n-1)! trees is equally likely, and a vertex is drawn uniformly.  The
+    pair is kept when the vertex has a leaf child, read off ``children``.
+    So every (tree, rank-1 vertex) pair, that is every marked tree, has
+    the same chance; about 1/e of the draws are kept.
+    """
+    while True:
+        tree = IncreasingTree({v: rng.randrange(v) for v in range(1, n)}, labels=range(n))
+        v = rng.randrange(n)
+        if any(not tree.children(c) for c in tree.children(v)):
+            return MarkedTree(tree, v)
+
+
 def recursive_walk(tree: IncreasingTree, v: int) -> list[int]:
     """Reference greatest-child-first walk, written recursively."""
     out = [v]
