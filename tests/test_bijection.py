@@ -168,6 +168,20 @@ def test_restructure_validates_the_callers_label():
     assert str(exc.value) == "'float' object cannot be interpreted as an integer"
 
 
+def test_restructure_on_sparse_labels():
+    # the work is indexed by position among the labels and j, so a label of
+    # 10**12 costs no more than any other
+    big = 10**12
+    t = IncreasingTree({5: 1, big: 5, big + 1: 1}, labels=[1, 5, big, big + 1])
+    assert case2a_restructure(t, 3, 5) == IncreasingTree({3: 1, 5: 3, big: 5, big + 1: 1})
+    assert case2a_restructure(t, 0, 5) == IncreasingTree({1: 0, 5: 0, big: 5, big + 1: 1})
+    chain = IncreasingTree({big: 7, big + 2: big, big + 3: big + 2, big + 4: big + 2,
+                            big + 5: big + 3})
+    assert case2a_restructure(chain, big + 1, big + 3) == IncreasingTree(
+        {big: 7, big + 1: big, big + 2: big + 1, big + 3: big + 1, big + 4: big + 2,
+         big + 5: big + 3})
+
+
 def _first_rank1_after(tree, start):
     walk = tree.depth_search_walk(start)
     return next(x for x in walk[1:] if tree.rank(x) == 1)

@@ -3,15 +3,17 @@ sides: derangements and seeded uniform random marked trees.
 
 ``forward`` and ``inverse`` run as loops, so their depth is not bounded by
 the interpreter's recursion limit; each input here has one level per label
-or per pair of labels.
+or per pair of labels.  Two wide marked trees, the broom and the comb, get
+a work bound that does not depend on a clock.
 """
 
+import builtins
 import random
 
 import pytest
 
-from derangetree import (CaseTag, CycleDecomposition, MarkedTree, bijection, forward,
-                         forward_with_case, inverse)
+from derangetree import (CaseTag, CycleDecomposition, IncreasingTree, MarkedTree, bijection,
+                         forward, forward_with_case, inverse)
 from derangetree.cli import run
 from util import assert_matches_validated, random_marked_tree
 
@@ -96,6 +98,72 @@ def test_random_marked_trees_undo_c2a_with_several_movers(monkeypatch):
         for mt in random_marked_trees(n, seed):
             inverse(mt)
     assert len(movers) >= 20 and max(movers) >= 3
+
+
+def broom(n):
+    """The mark 0 over h = n // 3 children 1..h, each with one leaf child
+    h+i, and over the leaves 2h+1..n-1."""
+    h = n // 3
+    parent = dict.fromkeys(range(1, n), 0)
+    parent.update({h + i: i for i in range(1, h + 1)})
+    return MarkedTree(IncreasingTree(parent, labels=range(n)), 0)
+
+
+def comb(n):
+    """For even n = 2h+2, the mark 0 over children 1..h+1, where each i in
+    1..h has one leaf child h+1+i, so h+1 is the mark's one leaf child."""
+    h = n // 2 - 1
+    parent = dict.fromkeys(range(1, n), 0)
+    parent.update({h + 1 + i: i for i in range(1, h + 1)})
+    return MarkedTree(IncreasingTree(parent, labels=range(n)), 0)
+
+
+@pytest.mark.parametrize("shape", [broom, comb])
+def test_round_trip_wide_shapes(shape):
+    mt = shape(24000)
+    p = inverse(mt)
+    assert p.size == 24000 and p.is_derangement
+    image = forward(p)
+    assert image == mt
+    assert_matches_validated(image.tree)
+    assert inverse(image) == p
+
+
+SCANS = ("all", "any", "max", "min", "sorted", "sum")
+
+
+def items_scanned(call):
+    """How many items the builtins in ``SCANS`` take from their one
+    argument while ``call()`` runs, through counting wrappers put into
+    ``bijection``'s globals.  Every scan of a child set goes through one."""
+    count = 0
+
+    def counting(scan):
+        def wrapper(items, *rest, **kwargs):
+            def counted():
+                nonlocal count
+                for x in items:
+                    count += 1
+                    yield x
+            return scan(items, *rest, **kwargs) if rest else scan(counted(), **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in SCANS:
+            patch.setattr(bijection, name, counting(getattr(builtins, name)), raising=False)
+        call()
+    return count
+
+
+@pytest.mark.parametrize("shape", [broom, comb])
+def test_wide_shapes_scan_linearly_many_labels(shape):
+    # a scan of the mark's children once per level reads about n**2 / 9
+    # labels on the broom's inverse and n**2 / 8 on the comb's forward
+    n = 6000
+    mt = shape(n)
+    p = inverse(mt)
+    assert items_scanned(lambda: inverse(mt)) <= 2 * n
+    assert items_scanned(lambda: forward(p)) <= 2 * n
 
 
 def test_round_trip_deep_chain():
