@@ -20,6 +20,20 @@ top = max S:
 * |S| = 2 is the one base case.  Size 3 comes out of C1 on it, (0 1 2)
   by C1cII and (0 2 1) by C1a, and keeps only its tag, ``BASE3``.
 
+Reading the case.  ``forward`` records none; ``_case`` reads it off the
+finished tree with ``_classify``, as ``inverse`` does per level.  With m
+the mark and v = parent(top), each case leaves a trace only its branch takes:
+
+* C1a: top joins a leaf child m had, so m has two leaf children or more.
+* C1b: v is neither m nor a child of m.
+* C1cI: v is a child of m.
+* C1cII: top is the only child of m = v, whose parent, the old mark, has
+  no leaf child left.
+* C2b: top is the only child of m = j, under a smaller mark that keeps a
+  leaf child besides j.
+* C2a: m = j holds top and only non-leaves, the path head and the moved
+  path vertices (k or above it), so one leaf child among two or more.
+
 The construction recurses on n, but it only ever compares labels, so both
 directions run as two loops over one ``_Draft`` on the original labels.
 ``forward`` peels top labels off the cycles, recording per level the label
@@ -72,7 +86,7 @@ class CaseTag(enum.Enum):
         return self.value
 
 
-# the loops read these globals: ``CaseTag.C1A`` goes through a slow metaclass hook
+# read as globals by _case, _classify and inverse: ``CaseTag.C1A`` is a slow metaclass hook
 BASE2, BASE3, C1A, C1B, C1C_I, C1C_II, C2A, C2B = CaseTag
 
 
@@ -187,7 +201,8 @@ def _check_derangement(p: CycleDecomposition) -> None:
 
 
 def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
-    """Map a derangement to its marked tree, along with the case that fired."""
+    """Map a derangement to its marked tree and the case that fired, which
+    is read off the finished tree as ``classify_tree`` reads it."""
     _check_derangement(p)
     n = p.size
     # p's own map, without a checked ``image`` call; -1 marks a peeled partner
@@ -211,32 +226,20 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
     parent, leaves, add_leaf = tree.parent, tree.leaves, tree.add_leaf
     tree.children[a] = set()
     add_leaf(b, a)
-    mark, tag = a, BASE2
-    # bottom up
+    mark = a
+    # bottom up: top goes under x, which becomes the mark in C2, and in
+    # C1cII, where x was the mark's only leaf child
     for top, x, paired in reversed(levels):
         if paired:
             if mark < x:
                 add_leaf(x, mark)
-                tag = C2B
             else:
                 _restructure(tree, x, mark)
-                tag = C2A
-            add_leaf(top, x)
-            mark = x
-            continue
         add_leaf(top, x)
-        if x == mark:
-            tag = C1A
-        elif parent[x] == mark:
-            if leaves[mark]:
-                tag = C1C_I
-            else:
-                tag, mark = C1C_II, x
-        else:
-            tag = C1B
-    if n == 3:  # the chain (C1cII) or the star (C1a)
-        tag = BASE3
-    return MarkedTree(IncreasingTree._standard(dict(enumerate(parent[1:], 1))), mark), tag
+        if paired or (parent[x] == mark and not leaves[mark]):
+            mark = x
+    image = IncreasingTree._standard(dict(enumerate(parent[1:], 1)))
+    return MarkedTree(image, mark), _case(tree, mark, n)
 
 
 def forward(p: CycleDecomposition) -> MarkedTree:
@@ -298,27 +301,25 @@ def _restructure(tree: _Draft, j: int, k: int) -> None:
 
 
 def classify_tree(mt: MarkedTree) -> CaseTag:
-    """The construction case that produced marked tree ``mt``.
-
-    Decided by where top = n - 1 hangs relative to the mark m: under
-    neither m nor a child of m (C1b); under a child of m (C1cI); under m as
-    an only child, split by the rank of m's parent (C2b at rank 1, C1cII at
-    rank 2); under m with siblings, split by whether some sibling is a leaf
-    (C1a) or none is (C2a)."""
-    n = mt.size
+    """The construction case that produced marked tree ``mt``, read off
+    where top = n - 1 hangs relative to the mark; the module docstring
+    gives the trace that each case leaves."""
     if not mt.tree.is_standard:
         raise DomainError("classification needs ground set 0..n-1")
-    if n == 2:
-        return BASE2
-    if n == 3:
-        return BASE3
-    return _classify(_Draft.of(mt.tree), mt.mark, n - 1)
+    return _case(_Draft.of(mt.tree), mt.mark, mt.size)
+
+
+def _case(tree: _Draft, m: int, n: int) -> CaseTag:
+    """The case of mark ``m`` on ``tree``, the labels 0..n-1."""
+    if n > 3:
+        return _classify(tree, m, n - 1)
+    return BASE3 if n == 3 else BASE2
 
 
 def _classify(tree: _Draft, m: int, top: int) -> CaseTag:
-    """``classify_tree`` for mark ``m`` of rank 1 and largest label ``top``
-    on at least three vertices, so ``m`` over top alone is not the root.
-    Top under ``m`` is a leaf child, so a second one is a leaf sibling."""
+    """The one test of the six cases, for mark ``m`` of rank 1 and largest
+    label ``top`` on at least three vertices, so ``m`` over top alone is not
+    the root.  Top under ``m`` is a leaf child, so a second one is a leaf sibling."""
     parent = tree.parent
     v = parent[top]
     if v == m:

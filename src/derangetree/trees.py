@@ -57,26 +57,21 @@ class IncreasingTree:
             raise DomainError("ground set is empty")
         if label_list[0] < 0:
             raise DomainError(f"negative label: {label_list[0]}")
-        children: dict[int, list[int]] = {v: [] for v in label_list}
-        root = label_list[0]
-        missing = children.keys() - {root} - parent.keys()
+        vertices = set(label_list)
+        non_roots = vertices - {label_list[0]}
+        missing = non_roots - parent.keys()
         if missing:
             raise DomainError(f"vertex {min(missing)} has no parent entry")
-        extra = parent.keys() - (children.keys() - {root})
+        extra = parent.keys() - non_roots
         if extra:
             raise DomainError(f"unexpected parent entry for {min(extra)}")
         for v in label_list[1:]:
             p = parent[v]
-            if p not in children:
+            if p not in vertices:
                 raise DomainError(f"parent {p} of vertex {v} is not a vertex")
             if p >= v:
                 raise DomainError(f"parent {p} of vertex {v} must be smaller")
-            children[p].append(v)
-        self._labels = tuple(label_list)
-        self._parent = parent
-        # built in ascending v order, so every child tuple is ascending
-        self._children = {v: tuple(c) for v, c in children.items()}
-        self._ranks: dict[int, int] | None = None
+        self._derive(tuple(label_list), parent)
 
     @classmethod
     def _standard(cls, parent: dict[int, int]) -> "IncreasingTree":
@@ -86,20 +81,22 @@ class IncreasingTree:
         Only for a ``parent`` that is valid by construction: its keys are
         exactly 1..n-1 and each maps to a smaller label.  Those facts imply
         every check of the constructor, and the caller states why they
-        hold.  ``parent`` is kept, not copied.  Labels and ascending
-        children are derived from it alone, as the constructor derives
-        them, so the tree's state is a function of its parent map.
+        hold.  ``parent`` is kept, not copied, and ``_derive`` fills in the
+        rest as for the constructor, so the state is a function of it.
         """
         tree = cls.__new__(cls)
-        labels = tuple(range(len(parent) + 1))
+        tree._derive(tuple(range(len(parent) + 1)), parent)
+        return tree
+
+    def _derive(self, labels: tuple[int, ...], parent: dict[int, int]) -> None:
+        """Keep ``labels`` and ``parent`` and derive the children from them,
+        for both constructors; v runs up, so every child tuple is ascending."""
         children: dict[int, list[int]] = {v: [] for v in labels}
         for v in labels[1:]:
             children[parent[v]].append(v)
-        tree._labels = labels
-        tree._parent = parent
-        tree._children = {v: tuple(c) for v, c in children.items()}
-        tree._ranks = None
-        return tree
+        self._labels, self._parent = labels, parent
+        self._children = {v: tuple(c) for v, c in children.items()}
+        self._ranks: dict[int, int] | None = None
 
     @property
     def size(self) -> int:

@@ -4,7 +4,9 @@ sides: derangements and seeded uniform random marked trees.
 ``forward`` and ``inverse`` run as loops, so their depth is not bounded by
 the interpreter's recursion limit; each input here has one level per label
 or per pair of labels.  Two wide marked trees, the broom and the comb, get
-a work bound that does not depend on a clock.
+a work bound that does not depend on a clock.  Case tags past the
+exhaustive sizes are checked against conditions written from the
+definitions.
 """
 
 import builtins
@@ -13,9 +15,9 @@ import random
 import pytest
 
 from derangetree import (CaseTag, CycleDecomposition, IncreasingTree, MarkedTree, bijection,
-                         forward, forward_with_case, inverse)
+                         classify_tree, forward, forward_with_case, inverse)
 from derangetree.cli import run
-from util import assert_matches_validated, random_marked_tree
+from util import assert_matches_validated, independent_case_conditions, random_marked_tree
 
 N = 5000
 
@@ -98,6 +100,31 @@ def test_random_marked_trees_undo_c2a_with_several_movers(monkeypatch):
         for mt in random_marked_trees(n, seed):
             inverse(mt)
     assert len(movers) >= 20 and max(movers) >= 3
+
+
+def fired_case(mt):
+    """The one case whose condition in ``independent_case_conditions`` holds."""
+    (tag,) = [tag for tag, holds in independent_case_conditions(mt).items() if holds]
+    return tag
+
+
+TAG_DRAWS = {10: 200, 100: 20, 1000: 3}
+
+
+@pytest.mark.parametrize("n", sorted(TAG_DRAWS))
+def test_case_tags_match_independent_conditions(n):
+    # the exhaustive checks pin tags up to n = 8 only; past that, both
+    # classifiers are held to the one condition that holds
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(TAG_DRAWS[n]):
+        mt = random_marked_tree(rng, n)
+        for image, tag in [forward_with_case(random_derangement(rng, n)), (mt, classify_tree(mt))]:
+            assert tag is fired_case(image)
+            seen.add(tag)
+    if n == 10:
+        assert seen == {CaseTag.C1A, CaseTag.C1B, CaseTag.C1C_I, CaseTag.C1C_II,
+                        CaseTag.C2A, CaseTag.C2B}
 
 
 def broom(n):
