@@ -38,10 +38,35 @@ def gen_increasing_trees(n: int) -> Iterator[IncreasingTree]:
     sends each of 1..n-1 to a smaller label, and each tree is built from
     it without the constructor's checks.
     """
+    yield from map(_tree, _parent_words(n))
+
+
+def _parent_words(n: int) -> Iterator[tuple[int, ...]]:
+    """The parent words (parent of 1, ..., parent of n-1) of the trees of
+    ``gen_increasing_trees(n)``, in the same order."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    for choices in itertools.product(*(range(v) for v in range(1, n))):
-        yield IncreasingTree._standard(dict(enumerate(choices, start=1)))
+    return itertools.product(*(range(v) for v in range(1, n)))
+
+
+def _tree(word: tuple[int, ...]) -> IncreasingTree:
+    """The tree of a word from ``_parent_words``, unchecked for the reason
+    ``gen_increasing_trees`` gives."""
+    return IncreasingTree._standard(dict(enumerate(word, start=1)))
+
+
+def _marked_words(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each parent word of ``_parent_words(n)`` with the rank-1 vertices of
+    its tree in ascending order.
+
+    A vertex has rank 1 when it has a leaf child, and the leaves are the
+    labels of 1..n-1 that are no one's parent, so the rank-1 vertices are
+    the parents of those labels.  For n = 1 there are none, so the list is
+    empty.
+    """
+    for word in _parent_words(n):
+        internal = set(word)
+        yield word, sorted({word[x - 1] for x in range(1, n) if x not in internal})
 
 
 def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
@@ -82,13 +107,13 @@ def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
 def gen_marked_trees(n: int) -> Iterator[MarkedTree]:
     """Every (tree, rank-1 vertex) pair for size n, each exactly once.
 
-    The rank-1 vertices are the parents of leaves, taken in ascending
-    order; ``MarkedTree`` checks each once.
+    The trees come in the order of ``gen_increasing_trees``, each with its
+    rank-1 vertices from ``_marked_words`` in ascending order; ``MarkedTree``
+    checks each once.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    for tree in gen_increasing_trees(n):
-        for v in sorted({tree.parent_of(x) for x in tree.labels[1:] if not tree.children(x)}):
+    for word, marks in _marked_words(n):
+        tree = _tree(word)
+        for v in marks:
             yield MarkedTree(tree, v)
 
 
@@ -245,6 +270,22 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _key(mt: MarkedTree) -> tuple[int, ...] | str:
+    """What ``verify_bijection`` compares images by: on 0..n-1 the tuple
+    (parent of 1, ..., parent of n-1, mark), else the text, which only a
+    faulty ``forward`` can give.
+
+    The tuple holds what the text spells out and its length gives n, so
+    two marked trees share a key only when they are equal; no text equals
+    a tuple.  The parent map is read as ``serialize`` reads it, so a
+    broken one raises the same error.
+    """
+    tree = mt.tree
+    if not tree.is_standard:
+        return mt.serialize()
+    return (*map(tree._parent.__getitem__, tree.labels[1:]), mt.mark)
+
+
 def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> VerificationReport:
     """Exhaustively check the bijection at size n.
 
@@ -253,17 +294,22 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     marked trees then checks that each is an image, and the two counts are
     compared.  That is enough, and it rests on these checks alone, not on
     any constructor: ``forward`` builds its images without re-validating
-    them.  Images are compared by their text, which spells out the whole
-    parent map and the mark.  The image texts are distinct, one per
-    derangement, and the scan finds among them the text of each of the
-    marked trees of size n, which are as many as the derangements.  So the
-    image texts are exactly the texts of the marked trees of size n.  An
-    image's state is derived from its parent map alone, so each image is
-    the marked tree its text names, and ``forward`` is a bijection onto
-    the marked trees.  ``inverse∘forward = id`` then makes ``inverse`` its
-    two-sided inverse: every marked tree is some ``forward(p)``, and
-    ``inverse``, being deterministic, sends it to p, so
+    them.  Images are compared by their keys (``_key``): on 0..n-1 the
+    parent word and the mark, which are the whole marked tree.  The image
+    keys are distinct, one per derangement, and the scan finds among them
+    the key of each of the marked trees of size n, which are as many as the
+    derangements.  So the image keys are exactly the keys of the marked
+    trees of size n.  An image's state is derived from its parent map
+    alone, so each image is the marked tree its key names, and ``forward``
+    is a bijection onto the marked trees.  ``inverse∘forward = id`` then
+    makes ``inverse`` its two-sided inverse: every marked tree is some
+    ``forward(p)``, and ``inverse``, being deterministic, sends it to p, so
     ``forward(inverse(mt)) = mt`` needs no second pass.
+
+    The scan walks parent words and builds no tree, ``image`` keeps each
+    derangement's index, not the derangement, and text is made only for a
+    failure; the first repeated image re-enumerates the derangements once,
+    to name the earlier ones.
 
     Any exception raised along the way is recorded as a failure rather
     than aborting the run.  Sizes above ``min(size_limit,
@@ -275,31 +321,32 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     start = time.perf_counter()
     failures: list[str] = []
     histogram: Counter[CaseTag] = Counter()
-    image: dict[str, CycleDecomposition] = {}
+    image: dict[tuple[int, ...] | str, int] = {}
+    derangements: list[CycleDecomposition] | None = None  # built on the first repeat
     derangement_count = 0
     for p in gen_derangements(n):
         derangement_count += 1
         try:
             mt, tag = forward_with_case(p)
             histogram[tag] += 1
-            key = mt.serialize()
-            other = image.get(key)
-            if other is not None:
-                failures.append(
-                    f"{p.serialize()} and {other.serialize()} map to the same tree {key}")
-            else:
-                image[key] = p
+            other = image.setdefault(_key(mt), derangement_count - 1)  # p's index if new
+            if other != derangement_count - 1:
+                if derangements is None:
+                    derangements = list(gen_derangements(n))
+                failures.append(f"{p.serialize()} and {derangements[other].serialize()}"
+                                f" map to the same tree {mt.serialize()}")
             back = inverse(mt)
             if back != p:
                 failures.append(f"inverse(forward({p.serialize()})) = {back.serialize()}")
         except Exception as exc:  # record, never abort mid-verification
             failures.append(f"{p.serialize()}: {type(exc).__name__}: {exc}")
     marked_count = 0
-    for mt in gen_marked_trees(n):
-        marked_count += 1
-        key = mt.serialize()
-        if key not in image:
-            failures.append(f"{key} is not the image of any derangement")
+    for word, marks in _marked_words(n):
+        for v in marks:
+            marked_count += 1
+            if (*word, v) not in image:
+                failures.append(
+                    f"{MarkedTree(_tree(word), v).serialize()} is not the image of any derangement")
     if derangement_count != marked_count:
         failures.append(
             f"count mismatch: {derangement_count} derangements vs {marked_count} marked trees")

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 
 import pytest
@@ -5,8 +7,11 @@ import pytest
 import derangetree.enumeration
 from derangetree import (
     CaseTag,
+    CycleDecomposition,
     DomainError,
+    IncreasingTree,
     InternalInvariantError,
+    MarkedTree,
     VerificationLimitError,
     case_counts,
     count_rank_k,
@@ -20,6 +25,7 @@ from derangetree import (
     verify_bijection,
 )
 from derangetree.cli import run
+from derangetree.enumeration import _key, _marked_words
 from util import (
     assert_matches_validated,
     brute_rank_count,
@@ -91,6 +97,14 @@ def test_marked_tree_counts():
 def test_marked_stream_order():
     for n in range(1, 7):
         assert [mt.serialize() for mt in gen_marked_trees(n)] == marked_tree_texts(n)
+
+
+def test_marked_words_are_the_marked_trees():
+    for n in range(1, 9):
+        keys = {(*w, v) for w, vs in _marked_words(n) for v in vs}
+        assert keys == {_key(mt) for mt in gen_marked_trees(n)}
+        if n >= 2:
+            assert len(keys) == count_rank_k(n, 1)
 
 
 def test_stream_determinism():
@@ -251,6 +265,67 @@ def test_verify_records_injected_fault(fault, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert f"n={FAULT_N} failure " in out
     assert "FAIL" in out
+
+
+def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
+    # a valid marked tree on {0, 1, 2, 3, 5}: its key is its text, and inverse refuses it
+    off = MarkedTree(IncreasingTree({1: 0, 2: 0, 3: 1, 5: 3}, labels=[0, 1, 2, 3, 5]), 0)
+    assert _key(off) == off.serialize()
+    tag = forward_with_case(FIRST)[1]
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case",
+                        lambda p: (off, tag) if p == FIRST else forward_with_case(p))
+    failures = verify_bijection(FAULT_N).round_trip_failures
+    assert f"{FIRST.serialize()}: DomainError: inverse needs ground set 0..n-1" in failures
+    assert f"{FAULT_KEY} is not the image of any derangement" in failures
+
+
+def test_repeated_images_reenumerate_the_derangements_once(monkeypatch):
+    # each odd-indexed derangement maps to the image of the one before it
+    derangements = list(gen_derangements(6))
+    previous = {p: derangements[i - 1] for i, p in enumerate(derangements) if i % 2}
+    expected = [f"{derangements[i].serialize()} and {derangements[i - 1].serialize()} map to"
+                f" the same tree {forward_with_case(derangements[i - 1])[0].serialize()}"
+                for i in range(1, len(derangements), 2)]
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return gen_derangements(n)
+
+    monkeypatch.setattr(derangetree.enumeration, "gen_derangements", counted)
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case",
+                        lambda p: forward_with_case(previous.get(p, p)))
+    failures = verify_bijection(6).round_trip_failures
+    assert len(calls) <= 2
+    assert [f for f in failures if "map to the same tree" in f] == expected
+    assert len(expected) == 132
+
+
+def test_verify_scan_holds_no_derangements(monkeypatch):
+    def live():
+        return sum(isinstance(o, CycleDecomposition) for o in gc.get_objects())
+
+    baseline = live()  # what other tests and modules keep alive
+    at_scan = []
+
+    def watched(n):
+        at_scan.append(live() - baseline)
+        return _marked_words(n)
+
+    monkeypatch.setattr(derangetree.enumeration, "_marked_words", watched)
+    assert verify_bijection(7).ok
+    assert len(at_scan) == 1 and at_scan[0] < 10
+
+
+# sha256 of `verify --max-size 8 --json` without its elapsed_seconds lines
+VERIFY_JSON_SHA256 = "e7b57dff639c14a18fd363b7865497e012c9452d69e28f0998ec4fa69fe94b71"
+
+
+def test_verify_json_report_is_golden(capsys):
+    assert run(["verify", "--max-size", "8", "--json"]) == 0
+    out = capsys.readouterr().out
+    kept = "".join(line for line in out.splitlines(keepends=True) if "elapsed_seconds" not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
 def test_report_text_and_dict():
