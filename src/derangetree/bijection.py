@@ -40,11 +40,12 @@ directions run as two loops over one ``_Draft`` on the original labels.
 that went and its anchor v or partner j, then grows the tree back bottom
 up; ``inverse`` peels top labels off the tree into cycle splices, then
 applies them bottom up.  The input is checked once, at entry, and the
-output is built once, on exit, from its parent or successor map without
-the validating constructor; ``_Draft`` and ``inverse`` argue that it is
-valid.  No level re-checks the mark: ``forward`` hangs top under the new
-mark, keeps the old one after seeing a leaf child under it (C1cI) or
-leaves its children alone (C1b), and ``inverse`` argues its cases.
+output is built once, on exit, from its parent word or successor map
+without the validating constructor; ``_Draft`` and ``inverse`` argue
+that it is valid.  No level re-checks the mark: ``forward`` hangs top
+under the new mark, keeps the old one after seeing a leaf child under it
+(C1cI) or leaves its children alone (C1b), and ``inverse`` argues its
+cases.
 
 Cost.  The construction only asks whether a vertex is a leaf, has a leaf
 child (rank 1) or neither; ``_Draft`` counts leaf children, so each
@@ -129,10 +130,11 @@ class _Draft:
     label) and ``leaves``, the count of leaf children, which is positive
     exactly at rank 1.  Nothing is validated here.
 
-    ``forward_with_case`` builds its image from ``parent`` alone, skipping
-    the ``IncreasingTree`` constructor's checks.  They hold by construction:
-    the ground set is checked to be 0..n-1, every label goes back into the
-    tree once, and each edit keeps parents smaller than their children.
+    ``forward_with_case`` builds its image from the parent word
+    ``parent[1:]`` alone, skipping the ``IncreasingTree`` constructor's
+    checks.  They hold by construction: the ground set is checked to be
+    0..n-1, every label goes back into the tree once, and each edit keeps
+    parents smaller than their children.
     ``add_leaf`` hangs the current top, greater than every label present,
     or j under a smaller mark (C2b); ``_restructure`` inserts j below a
     smaller path vertex, or as the root, and moves to j only subtrees whose
@@ -142,18 +144,18 @@ class _Draft:
 
     __slots__ = ("parent", "children", "leaves")
 
-    def __init__(self, parent: list[int], children: list[set[int] | None], leaves: list[int]):
-        self.parent, self.children, self.leaves = parent, children, leaves
+    def __init__(self, n: int, root: int, edges: Iterable[tuple[int, int]]):
+        """The tree ``root`` alone on labels below ``n``, then each edge
+        ``(v, p)`` in turn by ``add_leaf``, so ``p`` must be placed already."""
+        self.parent, self.children, self.leaves = [-1] * n, [None] * n, [0] * n
+        self.children[root] = set()
+        for v, p in edges:
+            self.add_leaf(v, p)
 
     @classmethod
     def of(cls, t: IncreasingTree) -> "_Draft":
-        """A copy of ``t`` on 0..n-1, n >= 2, whose constructor filled ``_children`` in order."""
-        n, up, kids = t.size, t._parent, t._children
-        leaves = [0] * n
-        for v, c in kids.items():
-            if not c:  # a leaf, so not the root
-                leaves[up[v]] += 1
-        return cls([-1, *map(up.__getitem__, range(1, n))], [*map(set, kids.values())], leaves)
+        """A copy of ``t`` on 0..n-1; ascending labels place each parent first."""
+        return cls(t.size, 0, enumerate(t._word(), 1))
 
     def add_leaf(self, v: int, p: int) -> None:
         siblings = self.children[p]
@@ -222,10 +224,8 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
             succ[before], pred[after] = after, before
             levels.append((top, before, False))
     b, a, _ = levels.pop()  # the last 2-cycle, which is the base
-    tree = _Draft([-1] * n, [None] * n, [0] * n)
+    tree = _Draft(n, a, [(b, a)])
     parent, leaves, add_leaf = tree.parent, tree.leaves, tree.add_leaf
-    tree.children[a] = set()
-    add_leaf(b, a)
     mark = a
     # bottom up: top goes under x, which becomes the mark in C2, and in
     # C1cII, where x was the mark's only leaf child
@@ -238,7 +238,7 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
         add_leaf(top, x)
         if paired or (parent[x] == mark and not leaves[mark]):
             mark = x
-    image = IncreasingTree._standard(dict(enumerate(parent[1:], 1)))
+    image = IncreasingTree._standard(parent[1:])
     return MarkedTree(image, mark), _case(tree, mark, n)
 
 
@@ -275,10 +275,8 @@ def case2a_restructure(t: IncreasingTree, j: int, k: int) -> IncreasingTree:
         raise DomainError(f"vertex {k} has rank {t.rank(k)}, need rank 1")
     labels = sorted([*t.labels, j])
     index = dict(zip(labels, range(len(labels)))).__getitem__
-    tree = _Draft([-1] * len(labels), [None] * len(labels), [0] * len(labels))
-    tree.children[index(t.root)] = set()
-    for v in t.labels[1:]:  # ascending, so each parent is already in
-        tree.add_leaf(index(v), index(t._parent[v]))
+    edges = zip(map(index, t.labels[1:]), map(index, t._word()))  # ascending: parents first
+    tree = _Draft(len(labels), index(t.root), edges)
     _restructure(tree, index(j), index(k))
     parent = {labels[v]: labels[p] for v, p in enumerate(tree.parent) if p >= 0}
     return IncreasingTree(parent, labels)  # j comes from the caller

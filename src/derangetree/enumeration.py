@@ -34,11 +34,11 @@ def gen_increasing_trees(n: int) -> Iterator[IncreasingTree]:
     """All (n-1)! increasing trees on {0, ..., n-1}, in a fixed order.
 
     Vertex v's parent ranges over 0..v-1; the stream is the lexicographic
-    product of those choices and is restartable.  So every parent map
-    sends each of 1..n-1 to a smaller label, and each tree is built from
-    it without the constructor's checks.
+    product of those choices and is restartable.  So every parent word
+    gives each of 1..n-1 a smaller parent, and each tree is built from it
+    without the constructor's checks.
     """
-    yield from map(_tree, _parent_words(n))
+    yield from map(IncreasingTree._standard, _parent_words(n))
 
 
 def _parent_words(n: int) -> Iterator[tuple[int, ...]]:
@@ -47,12 +47,6 @@ def _parent_words(n: int) -> Iterator[tuple[int, ...]]:
     if n < 1:
         raise DomainError("n must be at least 1")
     return itertools.product(*(range(v) for v in range(1, n)))
-
-
-def _tree(word: tuple[int, ...]) -> IncreasingTree:
-    """The tree of a word from ``_parent_words``, unchecked for the reason
-    ``gen_increasing_trees`` gives."""
-    return IncreasingTree._standard(dict(enumerate(word, start=1)))
 
 
 def _marked_words(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
@@ -112,7 +106,7 @@ def gen_marked_trees(n: int) -> Iterator[MarkedTree]:
     checks each once.
     """
     for word, marks in _marked_words(n):
-        tree = _tree(word)
+        tree = IncreasingTree._standard(word)
         for v in marks:
             yield MarkedTree(tree, v)
 
@@ -271,19 +265,19 @@ class VerificationReport:
 
 
 def _key(mt: MarkedTree) -> tuple[int, ...] | str:
-    """What ``verify_bijection`` compares images by: on 0..n-1 the tuple
-    (parent of 1, ..., parent of n-1, mark), else the text, which only a
-    faulty ``forward`` can give.
+    """What ``verify_bijection`` compares images by: on 0..n-1 the parent
+    word (parent of 1, ..., parent of n-1) followed by the mark, else the
+    text, which only a faulty ``forward`` can give.
 
     The tuple holds what the text spells out and its length gives n, so
     two marked trees share a key only when they are equal; no text equals
-    a tuple.  The parent map is read as ``serialize`` reads it, so a
-    broken one raises the same error.
+    a tuple.  The word is the one ``serialize`` spells out, so a broken
+    parent map raises the same error.
     """
     tree = mt.tree
     if not tree.is_standard:
         return mt.serialize()
-    return (*map(tree._parent.__getitem__, tree.labels[1:]), mt.mark)
+    return (*tree._word(), mt.mark)
 
 
 def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> VerificationReport:
@@ -299,7 +293,7 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     keys are distinct, one per derangement, and the scan finds among them
     the key of each of the marked trees of size n, which are as many as the
     derangements.  So the image keys are exactly the keys of the marked
-    trees of size n.  An image's state is derived from its parent map
+    trees of size n.  An image's state is derived from its parent word
     alone, so each image is the marked tree its key names, and ``forward``
     is a bijection onto the marked trees.  ``inverse∘forward = id`` then
     makes ``inverse`` its two-sided inverse: every marked tree is some
@@ -345,8 +339,8 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
         for v in marks:
             marked_count += 1
             if (*word, v) not in image:
-                failures.append(
-                    f"{MarkedTree(_tree(word), v).serialize()} is not the image of any derangement")
+                missing = MarkedTree(IncreasingTree._standard(word), v)
+                failures.append(f"{missing.serialize()} is not the image of any derangement")
     if derangement_count != marked_count:
         failures.append(
             f"count mismatch: {derangement_count} derangements vs {marked_count} marked trees")

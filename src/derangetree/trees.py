@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, FormatError
 
@@ -74,18 +74,18 @@ class IncreasingTree:
         self._derive(tuple(label_list), parent)
 
     @classmethod
-    def _standard(cls, parent: dict[int, int]) -> "IncreasingTree":
-        """The tree on {0, ..., n-1}, n = len(parent) + 1, with parent map
-        ``parent``, built without the constructor's checks.
+    def _standard(cls, word: Sequence[int]) -> "IncreasingTree":
+        """The tree on {0, ..., n-1} with parent word ``word``, the parents
+        of 1, ..., n-1 in order, so n = len(word) + 1, built without the
+        constructor's checks.
 
-        Only for a ``parent`` that is valid by construction: its keys are
-        exactly 1..n-1 and each maps to a smaller label.  Those facts imply
-        every check of the constructor, and the caller states why they
-        hold.  ``parent`` is kept, not copied, and ``_derive`` fills in the
-        rest as for the constructor, so the state is a function of it.
+        Only for a ``word`` that is valid by construction, ``word[v-1] < v``
+        for every v: that fact implies every check of the constructor, and
+        the caller states why it holds.  ``_derive`` fills in the rest as
+        for the constructor, so the state is a function of the word.
         """
         tree = cls.__new__(cls)
-        tree._derive(tuple(range(len(parent) + 1)), parent)
+        tree._derive(tuple(range(len(word) + 1)), dict(enumerate(word, 1)))
         return tree
 
     def _derive(self, labels: tuple[int, ...], parent: dict[int, int]) -> None:
@@ -120,6 +120,12 @@ class IncreasingTree:
         0..n-1, so the last label decides it.
         """
         return self._labels[-1] == len(self._labels) - 1
+
+    def _word(self) -> list[int]:
+        """The parent word: the parents of the non-root labels, in ascending label order."""
+        # a list: CPython builds ``tuple(map(...))`` at a guessed length and
+        # resizes it, so freed short words would pile up on a tuple free list
+        return [*map(self._parent.__getitem__, self._labels[1:])]
 
     def __contains__(self, v: int) -> bool:
         return v in self._children
@@ -220,10 +226,9 @@ class IncreasingTree:
         """Canonical text: ``size=n;parents=p1,...`` on 0..n-1, otherwise
         ``labels=...;edges=child:parent,...`` with children ascending."""
         if self.is_standard:
-            body = ",".join(map(str, map(self._parent.__getitem__, self._labels[1:])))
-            return f"size={self.size};parents={body}"
+            return f"size={self.size};parents={','.join(map(str, self._word()))}"
         labels = ",".join(str(x) for x in self._labels)
-        edges = ",".join(f"{v}:{self._parent[v]}" for v in self._labels[1:])
+        edges = ",".join(f"{v}:{p}" for v, p in zip(self._labels[1:], self._word()))
         return f"labels={labels};edges={edges}"
 
     @classmethod
@@ -239,7 +244,7 @@ class IncreasingTree:
         return self._labels == other._labels and self._parent == other._parent
 
     def __hash__(self) -> int:
-        return hash((self._labels, tuple(sorted(self._parent.items()))))
+        return hash((self._labels, *self._word()))
 
     def __repr__(self) -> str:
         return f"IncreasingTree.parse({self.serialize()!r})"
@@ -253,6 +258,7 @@ class MarkedTree:
     mark: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mark", operator.index(self.mark))
         if not self.tree.has_leaf_child(self.mark):  # DomainError for an unknown mark
             r = self.tree.rank(self.mark)  # only to word the error
             raise DomainError(f"marked vertex {self.mark} has rank {r}, need rank 1")

@@ -10,6 +10,7 @@ from derangetree import (
     IncreasingTree,
     MarkedTree,
     Relabeling,
+    bijection,
     case2a_restructure,
     classify_derangement,
     classify_tree,
@@ -21,7 +22,8 @@ from derangetree import (
     inverse,
     parse_cycles,
 )
-from util import assert_matches_validated, independent_case_conditions, lift_tree
+from util import (_trees_by_parent_choice, assert_draft_matches, assert_matches_validated,
+                  independent_case_conditions, lift_tree)
 
 # worked mappings, copied from the construction's defining figures
 GOLDEN = [
@@ -202,6 +204,13 @@ def test_restructure_walk_property_exhaustive():
 
 
 # -- inverse --
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_draft_matches_its_tree(n):
+    # the draft that inverse and classify_tree build, for every tree of size n
+    for _, t in _trees_by_parent_choice(n):
+        assert_draft_matches(bijection._Draft.of(t), t)
+
 
 def test_inverse_base():
     assert inverse(MarkedTree.parse("size=2;parents=0;mark=0")) == parse_cycles("(0 1)")

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name (``_x``) is read somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private module-level name (``_x``) is read somewhere in the package, and
+only ``trees.py`` touches how an ``IncreasingTree`` stores itself.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "derangetree"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREE_LAYOUT = {"_parent", "_children", "_labels"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,6 +54,17 @@ def unused_private_names(sources: list[str]) -> list[str]:
                   if name.startswith("_") and not name.startswith("__"))
 
 
+def layout_reads(source: str) -> list[str]:
+    """Each use in ``source`` of an attribute named in ``TREE_LAYOUT`` on a
+    receiver other than ``self``, as ``line: expression``.  A class may
+    keep attributes of those names for itself, as ``Relabeling`` does."""
+    uses = [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in TREE_LAYOUT
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    return [f"{node.lineno}: {ast.unparse(node)}"
+            for node in sorted(uses, key=lambda node: (node.lineno, node.col_offset))]
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"bijection.py", "enumeration.py", "trees.py"}
 
@@ -83,3 +96,19 @@ def test_unused_private_name_is_caught():
                "def run(): return os.sep\n")
     user = "from .library import _Draft\n"
     assert unused_private_names([library, user]) == ["_dead", "_unused"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "trees.py"],
+                         ids=lambda p: p.name)
+def test_tree_layout_stays_in_trees(path):
+    # other modules see a tree through its public reads and its parent word
+    assert layout_reads(path.read_text()) == []
+
+
+def test_layout_read_is_caught():
+    source = ("class Relabeling:\n"
+              "    def labels(self): return self._labels\n"
+              "def leaves(t): return [v for v, c in t._children.items() if not c]\n"
+              "def word(tree): return [tree._parent[v] for v in tree.labels[1:]]\n"
+              "def nested(mt): return mt.tree._labels\n")
+    assert layout_reads(source) == ["3: t._children", "4: tree._parent", "5: mt.tree._labels"]

@@ -17,7 +17,8 @@ import pytest
 from derangetree import (CaseTag, CycleDecomposition, IncreasingTree, MarkedTree, bijection,
                          classify_tree, forward, forward_with_case, inverse)
 from derangetree.cli import run
-from util import assert_matches_validated, independent_case_conditions, random_marked_tree
+from util import (assert_draft_matches, assert_matches_validated, independent_case_conditions,
+                  random_marked_tree)
 
 N = 5000
 
@@ -154,6 +155,12 @@ def test_round_trip_wide_shapes(shape):
     assert image == mt
     assert_matches_validated(image.tree)
     assert inverse(image) == p
+
+
+@pytest.mark.parametrize("shape", [broom, comb])
+def test_draft_of_wide_shapes(shape):
+    t = shape(6000).tree
+    assert_draft_matches(bijection._Draft.of(t), t)
 
 
 SCANS = ("all", "any", "max", "min", "sorted", "sum")

@@ -226,6 +226,22 @@ def test_non_integer_label_is_refused(parent, labels):
         IncreasingTree(parent, labels)
 
 
+@pytest.mark.parametrize("mark", [
+    0.0,  # once serialized as "mark=0.0", which parse refuses
+    1.0,
+    "1",  # once reported as an unknown vertex label
+])
+def test_non_integer_mark_is_refused(mark):
+    with pytest.raises(TypeError):
+        MarkedTree(IncreasingTree({1: 0, 2: 1}), mark)
+
+
+def test_bool_mark_is_an_integer():
+    mt = MarkedTree(IncreasingTree({1: 0, 2: 1}), True)
+    assert type(mt.mark) is int
+    assert mt.serialize() == "size=3;parents=0,1;mark=1"
+
+
 def test_generalized_ground_set():
     t = IncreasingTree({3: 1, 5: 3, 2: 1, 4: 2, 7: 4, 6: 2, 8: 6})
     assert t.root == 1

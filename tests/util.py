@@ -7,6 +7,7 @@ two genuinely different routes to the same answer.
 
 import functools
 import itertools
+from collections import Counter
 
 from derangetree import CaseTag, IncreasingTree, MarkedTree
 
@@ -168,6 +169,21 @@ def assert_matches_validated(tree: IncreasingTree) -> None:
     assert tree.labels == ref.labels
     assert all(tree.children(v) == ref.children(v) for v in ref.labels)
     assert tree.serialize() == ref.serialize()
+
+
+def assert_draft_matches(draft, tree: IncreasingTree) -> None:
+    """A ``bijection._Draft`` of ``tree`` on 0..n-1 against the tree's
+    public reads: ``parent`` is ``parent_of`` with -1 at the root,
+    ``children`` the child sets, and ``leaves`` counts each vertex's
+    children among ``naive_leaves``."""
+    n = tree.size
+    assert len(draft.parent) == len(draft.children) == len(draft.leaves) == n
+    leaf_children = Counter(tree.parent_of(v) for v in naive_leaves(tree))
+    for v in range(n):
+        up = tree.parent_of(v)
+        assert draft.parent[v] == (-1 if up is None else up)
+        assert draft.children[v] == set(tree.children(v))
+        assert draft.leaves[v] == leaf_children[v]
 
 
 def canonical_cycles(word) -> tuple[tuple[int, ...], ...]:
