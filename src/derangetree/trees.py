@@ -5,6 +5,11 @@ increase along every downward path, so the root always carries the smallest
 label.  Trees normally live on the ground set {0, ..., n-1}; arbitrary
 ground sets back the ``labels=...;edges=...`` text form.
 
+A tree is stored as its sorted labels and its parent word, the parents
+of the non-root labels in label order.  ``size=...;parents=...`` text is
+read, checked and written as that word alone; the child index is built
+on the first read that needs it.
+
 Walking a tree depth first, always descending to the greatest unvisited
 child, and dropping the leading root visit yields a permutation word over
 {1, ..., n-1}.  ``IncreasingTree.from_word`` inverts the walk, which gives
@@ -13,6 +18,7 @@ the bijection between trees of size n and words of length n-1.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -30,6 +36,10 @@ class IncreasingTree:
     they are reported in ascending order everywhere, which is a canonical
     presentation, never tree structure.
 
+    A tree keeps its sorted labels and its parent word, a list.  The child
+    index and the rank table are built on the first read that needs them;
+    ``in``, ``parent_of``, ``leaves`` and ``has_leaf_child`` read the word.
+
     >>> t = IncreasingTree({1: 0, 2: 0, 3: 1, 4: 0, 5: 4, 6: 2, 7: 4})
     >>> t.depth_search_walk()
     (0, 4, 7, 5, 2, 6, 1, 3)
@@ -39,7 +49,7 @@ class IncreasingTree:
     [3, 5, 6, 7]
     """
 
-    __slots__ = ("_labels", "_parent", "_children", "_ranks")
+    __slots__ = ("_labels", "_parent_word", "_children", "_ranks")
 
     def __init__(self, parent: Mapping[int, int], labels: Iterable[int] | None = None):
         index = operator.index
@@ -71,7 +81,7 @@ class IncreasingTree:
                 raise DomainError(f"parent {p} of vertex {v} is not a vertex")
             if p >= v:
                 raise DomainError(f"parent {p} of vertex {v} must be smaller")
-        self._derive(tuple(label_list), parent)
+        self._store(tuple(label_list), [*map(parent.__getitem__, label_list[1:])])
 
     @classmethod
     def _standard(cls, word: Sequence[int]) -> "IncreasingTree":
@@ -81,22 +91,25 @@ class IncreasingTree:
 
         Only for a ``word`` that is valid by construction, ``word[v-1] < v``
         for every v: that fact implies every check of the constructor, and
-        the caller states why it holds.  ``_derive`` fills in the rest as
-        for the constructor, so the state is a function of the word.
+        the caller states why it holds.  The tree keeps a list copy of the
+        word and derives nothing.
         """
         tree = cls.__new__(cls)
-        tree._derive(tuple(range(len(word) + 1)), dict(enumerate(word, 1)))
+        tree._store(tuple(range(len(word) + 1)), list(word))
         return tree
 
-    def _derive(self, labels: tuple[int, ...], parent: dict[int, int]) -> None:
-        """Keep ``labels`` and ``parent`` and derive the children from them,
-        for both constructors; v runs up, so every child tuple is ascending."""
-        children: dict[int, list[int]] = {v: [] for v in labels}
-        for v in labels[1:]:
-            children[parent[v]].append(v)
-        self._labels, self._parent = labels, parent
-        self._children = {v: tuple(c) for v, c in children.items()}
-        self._ranks: dict[int, int] | None = None
+    def _store(self, labels: tuple[int, ...], word: list[int]) -> None:
+        """Keep ``labels`` and the parent word ``word``, for both constructors."""
+        self._labels, self._parent_word = labels, word
+        self._children = self._ranks = None  # the child index and rank table, built on use
+
+    def _index(self) -> dict[int, list[int]]:
+        """The ascending child lists, built on first use."""
+        if self._children is None:
+            children = self._children = {v: [] for v in self._labels}
+            for v, p in zip(self._labels[1:], self._parent_word):
+                children[p].append(v)
+        return self._children
 
     @property
     def size(self) -> int:
@@ -122,31 +135,32 @@ class IncreasingTree:
         return self._labels[-1] == len(self._labels) - 1
 
     def _word(self) -> list[int]:
-        """The parent word: the parents of the non-root labels, in ascending label order."""
-        # a list: CPython builds ``tuple(map(...))`` at a guessed length and
-        # resizes it, so freed short words would pile up on a tuple free list
-        return [*map(self._parent.__getitem__, self._labels[1:])]
+        """The parent word: the parents of the non-root labels, in ascending
+        label order.  Callers only read it: it is the tree's own list."""
+        # a list: a tuple word raised the peak memory of ``verify``
+        return self._parent_word
 
     def __contains__(self, v: int) -> bool:
-        return v in self._children
+        return v in (range(len(self._labels)) if self.is_standard else self._index())
 
     def _require(self, v: int) -> None:
-        if v not in self._children:
+        if v not in self:
             raise DomainError(f"unknown vertex label: {v}")
 
     def parent_of(self, v: int) -> int | None:
         """Parent label of ``v``, or None for the root."""
         self._require(v)
-        return self._parent.get(v)
+        i = bisect.bisect_left(self._labels, v)  # v's place among the sorted labels
+        return self._parent_word[i - 1] if i else None
 
     def children(self, v: int) -> tuple[int, ...]:
         """Children of ``v`` in ascending label order."""
         self._require(v)
-        return self._children[v]
+        return tuple(self._index()[v])
 
     def leaves(self) -> frozenset[int]:
-        """All vertices without children."""
-        return frozenset(v for v in self._labels if not self._children[v])
+        """All vertices without children: the labels that are nobody's parent."""
+        return frozenset(self._labels).difference(self._parent_word)
 
     def rank(self, v: int) -> int:
         """Edge count of a shortest downward path from ``v`` to a leaf.
@@ -157,20 +171,31 @@ class IncreasingTree:
         self._require(v)
         if self._ranks is None:
             ranks: dict[int, int] = {}
+            children = self._index()
             # children carry larger labels, so descending order fills them first
             for x in reversed(self._labels):
-                ch = self._children[x]
+                ch = children[x]
                 ranks[x] = 1 + min(ranks[c] for c in ch) if ch else 0
             self._ranks = ranks
         return self._ranks[v]
 
     def has_leaf_child(self, v: int) -> bool:
         """True when some child of ``v`` is a leaf, which is exactly when
-        ``rank(v) == 1``.  Costs one lookup per child and builds no table."""
+        ``rank(v) == 1``.  Read off the word in O(n): the children of ``v``
+        are the labels whose entry is ``v``, and the leaves are the labels
+        absent from the word.  Both scans run inside ``set`` and
+        ``list.index``, with no child index."""
         self._require(v)
-        children = self._children
-        # a leaf's child tuple is empty, so it is the one falsy entry
-        return not all(map(children.__getitem__, children[v]))
+        word, labels = self._parent_word, self._labels
+        internal = set(word)
+        i = 0
+        try:
+            while True:
+                i = word.index(v, i) + 1  # word[i - 1] is the parent of labels[i]
+                if labels[i] not in internal:
+                    return True
+        except ValueError:  # no further child of v
+            return False
 
     def depth_search_walk(self, start: int | None = None) -> tuple[int, ...]:
         """Vertices of the subtree under ``start`` (default: the root), in
@@ -179,12 +204,13 @@ class IncreasingTree:
         if start is None:
             start = self.root
         self._require(start)
+        children = self._index()
         out: list[int] = []
         stack = [start]
         while stack:
             v = stack.pop()
             out.append(v)
-            stack.extend(self._children[v])
+            stack.extend(children[v])
         return tuple(out)
 
     def to_word(self) -> PermWord:
@@ -202,7 +228,10 @@ class IncreasingTree:
         """The unique tree whose walk produces ``word``.
 
         Each letter's parent is the nearest smaller letter to its left in
-        the walk, with the implicit root 0 up front.
+        the walk, with the implicit root 0 up front: the stack top once the
+        greater letters are popped, so 0 or a smaller earlier letter.  As
+        ``word`` is a permutation of 1..n-1, each v in 1..n-1 gets one
+        parent below it, which implies the constructor's checks.
 
         >>> IncreasingTree.from_word((4, 7, 5, 2, 6, 1, 3)).serialize()
         'size=8;parents=0,0,1,0,4,2,4'
@@ -211,14 +240,14 @@ class IncreasingTree:
         n = len(word) + 1
         if sorted(word) != list(range(1, n)):
             raise FormatError(f"word must be a permutation of 1..{n - 1}")
-        parent: dict[int, int] = {}
+        parents = [0] * (n - 1)
         stack = [0]
         for x in word:
             while stack[-1] > x:
                 stack.pop()
-            parent[x] = stack[-1]
+            parents[x - 1] = stack[-1]
             stack.append(x)
-        return cls(parent, labels=range(n))
+        return cls._standard(parents)
 
     # -- text form --
 
@@ -241,7 +270,7 @@ class IncreasingTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncreasingTree):
             return NotImplemented
-        return self._labels == other._labels and self._parent == other._parent
+        return self._labels == other._labels and self._parent_word == other._parent_word
 
     def __hash__(self) -> int:
         return hash((self._labels, *self._word()))
@@ -294,6 +323,16 @@ def _int_field(value: str, what: str) -> int:
 
 
 def _parse_tree_parts(text: str) -> tuple[IncreasingTree, int | None]:
+    """The tree and the mark, if any, that ``text`` holds.
+
+    A ``parents=`` body is read as a word in one pass: every entry is
+    nonempty ASCII digits and ``word[v-1] < v`` for every v.  That implies
+    every check of the constructor, so the tree is built by ``_standard``:
+    the labels 0..n-1 are distinct, sorted and nonnegative, and each of
+    1..n-1 gets exactly one parent, a label in 0..v-1.  Any other body
+    goes entry by entry through ``_int_field`` and the constructor, which
+    name its first fault in the same words.
+    """
     fields: dict[str, str] = {}
     keys: list[str] = []
     for part in text.strip().split(";"):
@@ -318,6 +357,11 @@ def _parse_tree_parts(text: str) -> tuple[IncreasingTree, int | None]:
         entries = body.split(",") if body else []
         if len(entries) != n - 1:
             raise FormatError(f"expected {n - 1} parent entries, got {len(entries)}")
+        if body.isascii() and body.replace(",", "").isdigit() and all(entries):
+            word = [*map(int, entries)]
+            if all(map(operator.lt, word, range(1, n))):
+                return IncreasingTree._standard(word), mark
+        # a malformed entry or a bad parent: the first one is named below
         parent = {v: _int_field(e, f"parent of {v}") for v, e in enumerate(entries, start=1)}
         return IncreasingTree(parent, labels=range(n)), mark
     if keys == ["labels", "edges"]:

@@ -13,7 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "derangetree"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-TREE_LAYOUT = {"_parent", "_children", "_labels"}
+TREE_LAYOUT = {"_parent", "_parent_word", "_children", "_labels"}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -13,6 +13,7 @@ from derangetree import (
     parse_tree_text,
     parse_word,
 )
+from derangetree.trees import _int_field
 from util import brute_rank, descent_count, factorial, naive_leaves, recursive_walk
 
 # the walk example tree for the word 4 7 5 2 6 1 3
@@ -296,6 +297,104 @@ def test_parse_errors():
 def test_parse_semantic_error_is_domain_error():
     with pytest.raises(DomainError):
         IncreasingTree.parse("size=3;parents=0,2")
+
+
+def per_entry_tree(n, body):
+    """The tree of ``size=n;parents=body``, read entry by entry through
+    ``_int_field`` and built by the validating constructor."""
+    entries = body.split(",") if body else []
+    if len(entries) != n - 1:
+        raise FormatError(f"expected {n - 1} parent entries, got {len(entries)}")
+    parent = {v: _int_field(e, f"parent of {v}") for v, e in enumerate(entries, start=1)}
+    return IncreasingTree(parent, labels=range(n))
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: its result, or its error's type and text."""
+    try:
+        return read(*args)
+    except (FormatError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_bulk_matches_per_entry(n, body):
+    """``size=n;parents=body``, plain and with ``mark=0``, read in bulk and
+    entry by entry: equal trees, or the same error."""
+    text = f"size={n};parents={body}"
+    assert outcome(IncreasingTree.parse, text) == outcome(per_entry_tree, n, body)
+    assert (outcome(MarkedTree.parse, f"{text};mark=0")
+            == outcome(lambda: MarkedTree(per_entry_tree(n, body), 0)))
+
+
+# entries that ``int`` reads but the text format refuses, and plain junk
+MALFORMED_ENTRIES = ["x", "", "+1", "-1", " 1", "1 ", "1_0", "١", "0x1", "1.0"]
+
+
+@pytest.mark.parametrize("n, body", [
+    (4, "0,x,1"), (4, "0,,1"), (4, ",0,1"), (4, "0,1,"), (4, "0,+1,1"),
+    (4, "0,-1,1"), (4, "0, 1,1"), (4, "0,1_0,1"), (4, "0,١,1"), (4, "x,+1,1"),
+    (4, "0,2,1"), (4, "0,1,3"), (4, "0,1,7"), (4, "0,4,x"), (4, "0,1"), (4, "0,1,2,3"),
+    (1, "0"), (1, ""), (2, "0"), (4, "0,0,1"), (4, "0,1,2"), (4, "00,01,02"),
+])
+def test_bulk_parents_reader_matches_per_entry(n, body):
+    assert_bulk_matches_per_entry(n, body)
+
+
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_bulk_parents_reader_matches_per_entry_random(n, data):
+    valid = st.tuples(*(st.integers(min_value=0, max_value=v - 1).map(str) for v in range(1, n)))
+    entry = st.one_of(st.integers(min_value=0, max_value=n).map(str),
+                      st.sampled_from(MALFORMED_ENTRIES))
+    anything = st.lists(entry, min_size=max(0, n - 2), max_size=n)
+    assert_bulk_matches_per_entry(n, ",".join(data.draw(st.one_of(valid, anything))))
+
+
+def public_reads(t):
+    """Every public read of a tree on 0..n-1, the reads that need no child
+    index first, and the error texts of reads of an unknown vertex."""
+    n = t.size
+    reads = {
+        "in": [v in t for v in [-1, *range(n + 1), True, 1.0, "0", None]],
+        "has_leaf_child": [t.has_leaf_child(v) for v in range(n)],
+        "parent_of": [t.parent_of(v) for v in range(n)],
+        "leaves": t.leaves(),
+        "serialize": t.serialize(),
+        "hash": hash(t),
+        "children": [t.children(v) for v in range(n)],
+        "rank": [t.rank(v) for v in range(n)],
+    }
+    for read in (t.has_leaf_child, t.parent_of, t.children, t.rank):
+        reads[read.__name__ + " unknown"] = [outcome(read, v) for v in (-1, n)]
+    return reads
+
+
+def test_lazy_index_answers_like_validated_tree():
+    for n in range(1, 8):
+        for word in itertools.product(*(range(v) for v in range(1, n))):
+            ref = IncreasingTree(dict(enumerate(word, start=1)), labels=range(n))
+            want = public_reads(ref)
+            assert want["has_leaf_child"] == [brute_rank(ref, v) == 1 for v in range(n)]
+            builds = [lambda: IncreasingTree._standard(word),
+                      lambda: IncreasingTree.parse(ref.serialize()),
+                      lambda: IncreasingTree(dict(enumerate(word, start=1)), labels=range(n)),
+                      lambda: IncreasingTree.from_word(ref.to_word())]
+            for build in builds:
+                for index_first in (False, True):
+                    t = build()
+                    if index_first:
+                        t.children(0)
+                    assert t == ref and ref == t
+                    assert public_reads(t) == want
+
+
+def test_map_path_builds_no_child_index():
+    mt = MarkedTree.parse("size=8;parents=0,0,1,0,4,2,4;mark=4")
+    t = mt.tree
+    assert mt.serialize() == "size=8;parents=0,0,1,0,4,2,4;mark=4"
+    assert t == EXAMPLE_TREE and hash(t) == hash(EXAMPLE_TREE)
+    assert 7 in t and 8 not in t and t.parent_of(7) == 4 and t.leaves() == {3, 5, 6, 7}
+    assert t._children is None
+    assert t.children(4) == (5, 7) and t._children is not None
 
 
 def test_marked_tree_serialize_parse():

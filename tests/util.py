@@ -162,9 +162,10 @@ def independent_case_conditions(mt: MarkedTree) -> dict[CaseTag, bool]:
 
 def assert_matches_validated(tree: IncreasingTree) -> None:
     """``tree`` against the tree the validating constructor builds from its
-    parent map on 0..n-1: equal, with equal hash and text, and with the same
-    children, in the same order, at every vertex."""
-    ref = IncreasingTree(dict(tree._parent), labels=range(tree.size))
+    ``parent_of`` reads on 0..n-1: equal, with equal hash and text, and with
+    the same children, in the same order, at every vertex."""
+    ref = IncreasingTree({v: tree.parent_of(v) for v in range(1, tree.size)},
+                         labels=range(tree.size))
     assert tree == ref and hash(tree) == hash(ref)
     assert tree.labels == ref.labels
     assert all(tree.children(v) == ref.children(v) for v in ref.labels)
