@@ -6,6 +6,9 @@ one-line words, marked trees by marking each vertex with a leaf child
 (the rank-1 vertices).  ``verify_bijection`` checks the bijection for one
 size in a single pass over the derangements plus a coverage scan of the
 marked trees, and refuses sizes past a hard ceiling instead of degrading.
+From n = 7 up it splits the pass into blocks by the value p(0) and checks
+all but one of them in forked child processes, one per usable CPU; the
+report is the same as from one block.
 ``case_counts`` classifies every derangement of one size.  The rank tables
 (``count_rank_k``, ``rank_count_table``, ``recurrence_check``) enumerate
 nothing: they count exactly, in integers, from a recurrence on the rank
@@ -15,11 +18,14 @@ of a tree's root, so they reach sizes in the hundreds.
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bijection import CaseTag, classify_derangement, forward_with_case, inverse
 from .cycles import CycleDecomposition
@@ -75,9 +81,24 @@ def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
     """
     if n < 1:
         raise DomainError("n must be at least 1")
+    return _derangements(n, range(n))
+
+
+def _derangements(n: int, firsts: Iterable[int]) -> Iterator[CycleDecomposition]:
+    """The derangements of ``gen_derangements(n)`` whose one-line word
+    starts with a value in ``firsts``, in the order of ``firsts`` and
+    lexicographic after that.
+
+    So the stream for a value x is one contiguous run of the full stream,
+    and the runs for consecutive ranges of values follow one another.  For
+    n >= 2 every run for one value x in 1..n-1 holds D(n)/(n-1)
+    derangements: conjugating by the transposition (x y) fixes 0, keeps
+    a permutation fixed-point free and maps p(0) = x to p(0) = y, so it
+    is a bijection between the runs of x and y.
+    """
     word: list[int] = []
     free = [True] * n
-    options = [iter(range(n))]  # the values still to try at each open position
+    options = [iter(firsts)]  # the values still to try at each open position
     while options:
         i = len(word)
         for x in options[-1]:
@@ -280,6 +301,13 @@ def _key(mt: MarkedTree) -> tuple[int, ...] | str:
     return (*tree._word(), mt.mark)
 
 
+def _text(key: tuple[int, ...] | str) -> str:
+    """The text of the marked tree that ``key`` names (see ``_key``)."""
+    if isinstance(key, str):
+        return key
+    return MarkedTree(IncreasingTree._standard(key[:-1]), key[-1]).serialize()
+
+
 def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> VerificationReport:
     """Exhaustively check the bijection at size n.
 
@@ -300,6 +328,14 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     ``forward(p)``, and ``inverse``, being deterministic, sends it to p, so
     ``forward(inverse(mt)) = mt`` needs no second pass.
 
+    The pass runs in blocks of derangements split by the value p(0)
+    (``_checked_blocks``): from n = 7 up, on a POSIX system with more than
+    one usable CPU and no other thread running, each block but the first
+    is checked in a forked child process while this process checks the
+    first.  The blocks' image keys, case tallies and failure texts are
+    then merged in derangement order, so the report is the one a single
+    block gives, and repeated images are found across blocks.
+
     The scan walks parent words and builds no tree, ``image`` keeps each
     derangement's index, not the derangement, and text is made only for a
     failure; the first repeated image re-enumerates the derangements once,
@@ -318,29 +354,25 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     image: dict[tuple[int, ...] | str, int] = {}
     derangements: list[CycleDecomposition] | None = None  # built on the first repeat
     derangement_count = 0
-    for p in gen_derangements(n):
-        derangement_count += 1
-        try:
-            mt, tag = forward_with_case(p)
-            histogram[tag] += 1
-            other = image.setdefault(_key(mt), derangement_count - 1)  # p's index if new
-            if other != derangement_count - 1:
+    for keys, tags, texts in _checked_blocks(n):
+        histogram.update({CaseTag(value): count for value, count in tags.items()})
+        for i, key in enumerate(keys):
+            index = derangement_count + i
+            if key is not None and image.setdefault(key, index) != index:
                 if derangements is None:
                     derangements = list(gen_derangements(n))
-                failures.append(f"{p.serialize()} and {derangements[other].serialize()}"
-                                f" map to the same tree {mt.serialize()}")
-            back = inverse(mt)
-            if back != p:
-                failures.append(f"inverse(forward({p.serialize()})) = {back.serialize()}")
-        except Exception as exc:  # record, never abort mid-verification
-            failures.append(f"{p.serialize()}: {type(exc).__name__}: {exc}")
+                failures.append(f"{derangements[index].serialize()} and"
+                                f" {derangements[image[key]].serialize()}"
+                                f" map to the same tree {_text(key)}")
+            if i in texts:
+                failures.append(texts[i])
+        derangement_count += len(keys)
     marked_count = 0
     for word, marks in _marked_words(n):
         for v in marks:
             marked_count += 1
             if (*word, v) not in image:
-                missing = MarkedTree(IncreasingTree._standard(word), v)
-                failures.append(f"{missing.serialize()} is not the image of any derangement")
+                failures.append(f"{_text((*word, v))} is not the image of any derangement")
     if derangement_count != marked_count:
         failures.append(
             f"count mismatch: {derangement_count} derangements vs {marked_count} marked trees")
@@ -352,6 +384,141 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
         case_histogram=dict(histogram),
         elapsed_seconds=time.perf_counter() - start,
     )
+
+
+_Block = tuple[list, dict[str, int], dict[int, str]]
+
+
+def _check_block(n: int, firsts: range) -> _Block:
+    """Map forward, key and map back the derangements of size n with p(0)
+    in ``firsts``.
+
+    Returns, in the order of ``_derangements(n, firsts)``: the image key of
+    each derangement (None where ``forward`` or ``_key`` raised), the count
+    of each case tag's value, and the failure text of each derangement
+    that has one, by its index in the block.  Only builtin types, so that
+    ``marshal`` can carry the result out of a child process.
+    """
+    keys: list[tuple[int, ...] | str | None] = []
+    tags: dict[str, int] = {}
+    texts: dict[int, str] = {}
+    for i, p in enumerate(_derangements(n, firsts)):
+        key = None
+        try:
+            mt, tag = forward_with_case(p)
+            tags[tag.value] = tags.get(tag.value, 0) + 1
+            key = _key(mt)
+            back = inverse(mt)
+            if back != p:
+                texts[i] = f"inverse(forward({p.serialize()})) = {back.serialize()}"
+        except Exception as exc:  # record, never abort mid-verification
+            texts[i] = f"{p.serialize()}: {type(exc).__name__}: {exc}"
+        keys.append(key)
+    return keys, tags, texts
+
+
+_FORK_MIN_SIZE = 7  # below this, one fork costs about what it saves
+
+
+def _checked_blocks(n: int) -> Iterator[_Block]:
+    """``_check_block`` over the blocks of ``_blocks(n, parts)``, in order.
+
+    From n = 7 up there are min(usable CPUs, n - 1) parts when ``os.fork``
+    exists and no other thread runs, since forking with threads is
+    unsafe; else one.  Each block but the first is checked in a forked
+    child, which sends its result back through a pipe, while this process
+    checks the first block, the smallest, since it merges too.  A block
+    whose child cannot be forked or does not exit 0 is checked here
+    instead, so the outcome, or the exception, is the one-block one.
+    Every child is reaped before this generator finishes or is closed.
+    """
+    parts = 1
+    if n >= _FORK_MIN_SIZE and hasattr(os, "fork") and threading.active_count() == 1:
+        parts = min(_usable_cpus(), n - 1)
+    first, *rest = _blocks(n, parts)
+    children: list[tuple[range, tuple[int, int] | None]] = []  # (block, _fork_check's)
+    try:
+        for firsts in rest:
+            children.append((firsts, _fork_check(n, firsts)))
+        yield _check_block(n, first)
+        while children:
+            firsts, child = children.pop(0)
+            result = None if child is None else _collect(*child)
+            yield _check_block(n, firsts) if result is None else result
+    finally:
+        for _, child in children:  # left when a block checked here raised
+            if child is not None:
+                os.close(child[1])
+                os.waitpid(child[0], 0)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this system
+        return os.cpu_count() or 1
+
+
+def _blocks(n: int, parts: int) -> list[range]:
+    """1..n-1, the values of p(0), split into ``parts`` consecutive
+    ranges whose sizes differ by at most one, the smaller ones first."""
+    size, extra = divmod(n - 1, parts)
+    blocks, lo = [], 1
+    for b in range(parts):
+        hi = lo + size + (b >= parts - extra)
+        blocks.append(range(lo, hi))
+        lo = hi
+    return blocks
+
+
+def _fork_check(n: int, firsts: range) -> tuple[int, int] | None:
+    """Fork a child that checks one block and writes the marshalled result
+    to a pipe, after its length in 8 bytes; return the child's pid and the
+    pipe's read end, or None when no process could be forked.
+
+    The child leaves by ``os._exit`` whatever happens, so it never returns
+    into the caller's stack and never flushes the stdio buffers it
+    inherited.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: the block is checked here
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            data = marshal.dumps(_check_block(n, firsts))
+            with open(write, "wb") as pipe:
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _collect(pid: int, fd: int) -> _Block | None:
+    """Read a child's result from the pipe ``fd`` and reap the child; None
+    unless it exited 0, which it does only once the whole result is sent.
+
+    The length comes first, so the result is read into one buffer of its
+    own size, not into one grown as it arrives.
+    """
+    try:
+        with open(fd, "rb") as pipe:
+            size = int.from_bytes(pipe.read(8), "little")
+            data = pipe.read(size)
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return None
+    return marshal.loads(data)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 import gc
 import hashlib
+import itertools
 import json
+import os
+import signal
+import threading
 
 import pytest
 
@@ -25,7 +29,7 @@ from derangetree import (
     verify_bijection,
 )
 from derangetree.cli import run
-from derangetree.enumeration import _key, _marked_words
+from derangetree.enumeration import _blocks, _derangements, _key, _marked_words
 from util import (
     assert_matches_validated,
     brute_rank_count,
@@ -79,6 +83,38 @@ def test_derangements_match_filtered_permutations():
 def test_gen_derangements_rejects_zero():
     with pytest.raises(DomainError, match="n must be at least 1"):
         next(gen_derangements(0))
+
+
+def consecutive_partitions(n):
+    """Every partition of 1..n-1 into ranges of consecutive values, in order."""
+    for k in range(n - 1):
+        for cuts in itertools.combinations(range(2, n), k):
+            bounds = [1, *cuts, n]
+            yield [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_blocks_by_first_value_are_runs_of_the_stream():
+    for n in range(2, 9):
+        words = fixed_point_free_words(n)
+        stream = list(gen_derangements(n))
+        for x in range(1, n):
+            run_of_x = [tuple(p.image(i) for i in range(n)) for p in _derangements(n, [x])]
+            assert run_of_x == [w for w in words if w[0] == x]
+            assert len(run_of_x) == subfactorial(n) // (n - 1)
+        # every partition up to n = 7; at n = 8 the ones verify_bijection uses
+        partitions = (consecutive_partitions(n) if n <= 7
+                      else (_blocks(n, parts) for parts in range(1, n)))
+        for blocks in partitions:
+            assert [p for block in blocks for p in _derangements(n, block)] == stream, blocks
+
+
+def test_verification_blocks_split_the_first_values_evenly():
+    for n in range(2, 10):
+        for parts in range(1, n):
+            blocks = _blocks(n, parts)
+            assert [x for block in blocks for x in block] == list(range(1, n))
+            sizes = [len(block) for block in blocks]
+            assert len(sizes) == parts and sizes == sorted(sizes) and sizes[-1] - sizes[0] <= 1
 
 
 def test_derangements_are_derangements():
@@ -211,46 +247,49 @@ FAULT_KEY = forward_with_case(FIRST)[0].serialize()
 OUTSIDE = next(gen_derangements(FAULT_N - 1))
 
 
-def _swap_images(p):
-    return forward_with_case({FIRST: SECOND, SECOND: FIRST}.get(p, p))
+def fault_table(first, second, outside):
+    """The faults of FAULTS for two derangements first and second of one
+    size and a derangement outside of a smaller size."""
+    key = forward_with_case(first)[0].serialize()
+
+    def swap_images(p):
+        return forward_with_case({first: second, second: first}.get(p, p))
+
+    def collide(p):
+        return forward_with_case(first if p == second else p)
+
+    def raise_internal(p):
+        if p == first:
+            raise InternalInvariantError("injected")
+        return forward_with_case(p)
+
+    def outside_marked_set(p):
+        # the tree of a smaller size is a valid MarkedTree, but not one of this size
+        return forward_with_case(outside if p == first else p)
+
+    def wrong_preimage(mt):
+        p = inverse(mt)
+        return second if p == first else p
+
+    return {
+        "swap two images": ("forward_with_case", swap_images, [
+            f"inverse(forward({first.serialize()})) = {second.serialize()}",
+            f"inverse(forward({second.serialize()})) = {first.serialize()}"]),
+        "two inputs, one image": ("forward_with_case", collide, [
+            f"{second.serialize()} and {first.serialize()} map to the same tree {key}",
+            "is not the image of any derangement"]),
+        "internal error": ("forward_with_case", raise_internal, [
+            f"{first.serialize()}: InternalInvariantError: injected",
+            "is not the image of any derangement"]),
+        "image outside the marked set": ("forward_with_case", outside_marked_set, [
+            f"inverse(forward({first.serialize()})) = {outside.serialize()}",
+            f"{key} is not the image of any derangement"]),
+        "wrong preimage": ("inverse", wrong_preimage, [
+            f"inverse(forward({first.serialize()})) = {second.serialize()}"]),
+    }
 
 
-def _collide(p):
-    return forward_with_case(FIRST if p == SECOND else p)
-
-
-def _raise_internal(p):
-    if p == FIRST:
-        raise InternalInvariantError("injected")
-    return forward_with_case(p)
-
-
-def _outside_marked_set(p):
-    # the tree of a smaller size is a valid MarkedTree, but not one of size FAULT_N
-    return forward_with_case(OUTSIDE if p == FIRST else p)
-
-
-def _wrong_preimage(mt):
-    p = inverse(mt)
-    return SECOND if p == FIRST else p
-
-
-FAULTS = {
-    "swap two images": ("forward_with_case", _swap_images, [
-        f"inverse(forward({FIRST.serialize()})) = {SECOND.serialize()}",
-        f"inverse(forward({SECOND.serialize()})) = {FIRST.serialize()}"]),
-    "two inputs, one image": ("forward_with_case", _collide, [
-        f"{SECOND.serialize()} and {FIRST.serialize()} map to the same tree {FAULT_KEY}",
-        "is not the image of any derangement"]),
-    "internal error": ("forward_with_case", _raise_internal, [
-        f"{FIRST.serialize()}: InternalInvariantError: injected",
-        "is not the image of any derangement"]),
-    "image outside the marked set": ("forward_with_case", _outside_marked_set, [
-        f"inverse(forward({FIRST.serialize()})) = {OUTSIDE.serialize()}",
-        f"{FAULT_KEY} is not the image of any derangement"]),
-    "wrong preimage": ("inverse", _wrong_preimage, [
-        f"inverse(forward({FIRST.serialize()})) = {SECOND.serialize()}"]),
-}
+FAULTS = fault_table(FIRST, SECOND, OUTSIDE)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -265,6 +304,187 @@ def test_verify_records_injected_fault(fault, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert f"n={FAULT_N} failure " in out
     assert "FAIL" in out
+
+
+forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def verify_in_blocks(monkeypatch, n, cpus):
+    """verify_bijection(n) as if ``cpus`` CPUs were usable, and the number
+    of children it forked."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    try:
+        return verify_bijection(n), len(forks)
+    finally:
+        monkeypatch.setattr(os, "fork", real_fork)
+
+
+def report_without_time(report):
+    data = report.to_dict()
+    del data["elapsed_seconds"]
+    return data
+
+
+# The FAULTS table at n = 7, with the faulty derangements in the last block
+# (p(0) = 6), plus a last-block derangement sent to the image of a
+# derangement in the first block.
+FORKED_N = 7
+FORKED_STREAM = list(gen_derangements(FORKED_N))
+FORKED_FAULTS = fault_table(*[p for p in FORKED_STREAM if p.image(0) == FORKED_N - 1][:2],
+                            next(gen_derangements(FORKED_N - 1)))
+FORKED_FAULTS["two blocks, one image"] = (
+    "forward_with_case",
+    lambda p: forward_with_case(FORKED_STREAM[0] if p == FORKED_STREAM[-1] else p),
+    [f"{FORKED_STREAM[-1].serialize()} and {FORKED_STREAM[0].serialize()} map to the same tree"
+     f" {forward_with_case(FORKED_STREAM[0])[0].serialize()}",
+     "is not the image of any derangement"])
+
+
+@forking
+@pytest.mark.parametrize("fault", sorted(FORKED_FAULTS))
+def test_forked_verify_records_injected_fault(fault, monkeypatch):
+    name, broken, expected = FORKED_FAULTS[fault]
+    monkeypatch.setattr(derangetree.enumeration, name, broken)
+    one_block, forks = verify_in_blocks(monkeypatch, FORKED_N, 1)
+    assert forks == 0
+    for cpus in (2, 3):
+        report, forks = verify_in_blocks(monkeypatch, FORKED_N, cpus)
+        assert forks == cpus - 1
+        assert report.round_trip_failures == one_block.round_trip_failures
+        assert report_without_time(report) == report_without_time(one_block)
+    for text in expected:
+        assert any(text in f for f in report.round_trip_failures), (text, report.round_trip_failures)
+
+
+def test_failures_come_in_derangement_order(monkeypatch):
+    # in the last block: x raises, then z maps to the image of y
+    x, y, z = [p for p in FORKED_STREAM if p.image(0) == FORKED_N - 1][:3]
+
+    def broken(p):
+        if p == x:
+            raise InternalInvariantError("injected")
+        return forward_with_case(y if p == z else p)
+
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", broken)
+    expected = [f"{x.serialize()}: InternalInvariantError: injected",
+                f"{z.serialize()} and {y.serialize()} map to the same tree"
+                f" {forward_with_case(y)[0].serialize()}",
+                f"inverse(forward({z.serialize()})) = {y.serialize()}"]
+    for cpus in (1, 2):
+        failures = verify_in_blocks(monkeypatch, FORKED_N, cpus)[0].round_trip_failures
+        assert failures[:3] == expected
+        assert len(failures) == 5 and all("is not the image" in f for f in failures[3:])
+
+
+@forking
+@pytest.mark.parametrize("n", [7, 8])
+def test_forked_report_equals_the_one_block_report(n, monkeypatch):
+    one_block, _ = verify_in_blocks(monkeypatch, n, 1)
+    assert one_block.ok
+    for cpus in (2, 3, 16):
+        report, forks = verify_in_blocks(monkeypatch, n, cpus)
+        assert forks == min(cpus, n - 1) - 1
+        assert report_without_time(report) == report_without_time(one_block)
+        with pytest.raises(ChildProcessError):  # every child has been reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+def test_blocks_that_cannot_fork_are_checked_here(monkeypatch):
+    expected = report_without_time(verify_bijection(7))
+    real_fork = os.fork
+    calls = []
+
+    def fork_once():
+        calls.append(None)
+        if len(calls) > 1:
+            raise BlockingIOError("no more processes")
+        return real_fork()
+
+    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", fork_once)
+    report = verify_bijection(7)
+    monkeypatch.setattr(os, "fork", real_fork)
+    assert len(calls) == 2
+    assert report_without_time(report) == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+def test_no_child_outlives_a_verification_that_raises(monkeypatch):
+    parent = os.getpid()
+
+    def interrupted_here(p):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return forward_with_case(p)
+
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", interrupted_here)
+    with pytest.raises(KeyboardInterrupt):
+        verify_in_blocks(monkeypatch, 8, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_block_without_a_second_cpu_fork_or_a_lone_thread(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    expected = report_without_time(verify_bijection(7))
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: 1)
+    assert report_without_time(verify_bijection(7)) == expected
+    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: 2)
+    assert verify_bijection(6).ok  # too small to fork
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert report_without_time(verify_bijection(7)) == expected
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert report_without_time(verify_bijection(7)) == expected
+
+
+@forking
+def test_block_of_a_dead_child_is_checked_again(monkeypatch):
+    parent = os.getpid()
+    expected = report_without_time(verify_bijection(8))
+
+    def dies_in_a_child(p):
+        if os.getpid() != parent:
+            os._exit(1)
+        return forward_with_case(p)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("verify_bijection hung on a dead child")
+
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", dies_in_a_child)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        report, forks = verify_in_blocks(monkeypatch, 8, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert forks == 2
+    assert report_without_time(report) == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
