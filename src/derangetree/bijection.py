@@ -41,15 +41,17 @@ that went and its anchor v or partner j, then grows the tree back bottom
 up; ``inverse`` peels top labels off the tree into cycle splices, then
 applies them bottom up.  The input is checked once, at entry, and the
 output is built once, on exit, from its parent word or successor map
-without the validating constructor; ``_Draft`` and ``inverse`` argue
-that it is valid.  No level re-checks the mark: ``forward`` hangs top
-under the new mark, keeps the old one after seeing a leaf child under it
-(C1cI) or leaves its children alone (C1b), and ``inverse`` argues its
-cases.
+without the validating constructors; ``_Draft``, ``forward_with_case``
+and ``inverse`` argue that it is valid.  No level re-checks the mark, and
+neither does the finished image: ``forward`` hangs top under the new
+mark, keeps the old one after seeing a leaf child under it (C1cI) or
+leaves its children alone (C1b), and ``inverse`` argues its cases.
 
 Cost.  The construction only asks whether a vertex is a leaf, has a leaf
 child (rank 1) or neither; ``_Draft`` counts leaf children, so each
-question is one read.  Child sets are scanned only by ``max`` in
+question is one read.  The counts change only where a leaf comes or goes,
+and the loops of ``forward_with_case`` and ``inverse`` update them in
+place, with no method call per level.  Child sets are scanned only by ``max`` in
 ``_restructure`` and ``max``/``sorted`` in ``_undo_restructure``: those of
 j and of the path vertices strictly between j and k, at most n labels per
 call.  Such a path vertex ends below j and never again above the mark,
@@ -130,50 +132,43 @@ class _Draft:
     label) and ``leaves``, the count of leaf children, which is positive
     exactly at rank 1.  Nothing is validated here.
 
+    The leaf counts are kept where a leaf comes or goes, with no method
+    call: in the constructor, in ``forward_with_case``'s bottom-up loop and
+    in ``inverse``'s peel loop.  ``move`` and ``replace`` change no count.
+
     ``forward_with_case`` builds its image from the parent word
     ``parent[1:]`` alone, skipping the ``IncreasingTree`` constructor's
     checks.  They hold by construction: the ground set is checked to be
     0..n-1, every label goes back into the tree once, and each edit keeps
-    parents smaller than their children.
-    ``add_leaf`` hangs the current top, greater than every label present,
-    or j under a smaller mark (C2b); ``_restructure`` inserts j below a
-    smaller path vertex, or as the root, and moves to j only subtrees whose
-    roots exceed j.  ``case2a_restructure`` takes j from the caller, so its
-    result goes through the constructor.
+    parents smaller than their children.  ``forward_with_case`` hangs the
+    current top, greater than every label present, or j under a smaller
+    mark (C2b); ``_restructure`` inserts j below a smaller path vertex, or
+    as the root, and moves to j only subtrees whose roots exceed j.
+    ``case2a_restructure`` takes j from the caller, so its result goes
+    through the constructor.
     """
 
     __slots__ = ("parent", "children", "leaves")
 
     def __init__(self, n: int, root: int, edges: Iterable[tuple[int, int]]):
         """The tree ``root`` alone on labels below ``n``, then each edge
-        ``(v, p)`` in turn by ``add_leaf``, so ``p`` must be placed already."""
-        self.parent, self.children, self.leaves = [-1] * n, [None] * n, [0] * n
-        self.children[root] = set()
+        ``(v, p)`` in turn, hanging ``v`` as a leaf under ``p``, so ``p``
+        must be placed already."""
+        parent, children, leaves = self.parent, self.children, self.leaves = (
+            [-1] * n, [None] * n, [0] * n)
+        children[root] = set()
         for v, p in edges:
-            self.add_leaf(v, p)
+            siblings = children[p]
+            if not siblings and (above := parent[p]) >= 0:  # p was a leaf
+                leaves[above] -= 1
+            siblings.add(v)
+            leaves[p] += 1
+            parent[v], children[v] = p, set()
 
     @classmethod
     def of(cls, t: IncreasingTree) -> "_Draft":
         """A copy of ``t`` on 0..n-1; ascending labels place each parent first."""
         return cls(t.size, 0, enumerate(t._word(), 1))
-
-    def add_leaf(self, v: int, p: int) -> None:
-        siblings = self.children[p]
-        if not siblings and (above := self.parent[p]) >= 0:
-            self.leaves[above] -= 1
-        siblings.add(v)
-        self.leaves[p] += 1
-        self.parent[v] = p
-        self.children[v] = set()
-
-    def drop_leaf(self, v: int) -> None:
-        p = self.parent[v]
-        siblings = self.children[p]
-        siblings.remove(v)
-        self.leaves[p] -= 1
-        if not siblings and (above := self.parent[p]) >= 0:
-            self.leaves[above] += 1
-        self.children[v] = None
 
     def move(self, v: int, p: int) -> None:
         """Move the subtree rooted at ``v`` under ``p``.  No count changes:
@@ -204,7 +199,19 @@ def _check_derangement(p: CycleDecomposition) -> None:
 
 def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
     """Map a derangement to its marked tree and the case that fired, which
-    is read off the finished tree as ``classify_tree`` reads it."""
+    is read off the finished tree as ``classify_tree`` reads it.
+
+    The image is marked without ``MarkedTree``'s check, because the loop
+    keeps the mark, a label and so an int, at rank 1.  The base mark a
+    holds the leaf b.  A level hangs top, a new leaf, under x, and only x
+    can stop being a leaf.  C2, either way, and C1cII make x the mark,
+    which then holds top.  In C1a x is the mark and gains top; in C1cI x
+    is a child of the mark, which keeps a leaf child other than x; in C1b
+    x is not a child of the mark, whose children stay as they were.
+    ``verify_bijection`` does not rely on this: a wrong mark gives a key
+    that names no marked tree, so with as many images as marked trees the
+    coverage scan finds a marked tree that no image hits.
+    """
     _check_derangement(p)
     n = p.size
     # p's own map, without a checked ``image`` call; -1 marks a peeled partner
@@ -225,21 +232,29 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
             levels.append((top, before, False))
     b, a, _ = levels.pop()  # the last 2-cycle, which is the base
     tree = _Draft(n, a, [(b, a)])
-    parent, leaves, add_leaf = tree.parent, tree.leaves, tree.add_leaf
+    parent, children, leaves = tree.parent, tree.children, tree.leaves
     mark = a
     # bottom up: top goes under x, which becomes the mark in C2, and in
     # C1cII, where x was the mark's only leaf child
     for top, x, paired in reversed(levels):
         if paired:
-            if mark < x:
-                add_leaf(x, mark)
+            if mark < x:  # C2b: x goes under the mark, which keeps its leaf count
+                children[mark].add(x)
+                parent[x], children[x] = mark, set()
             else:
                 _restructure(tree, x, mark)
-        add_leaf(top, x)
-        if paired or (parent[x] == mark and not leaves[mark]):
+            leaves[x] = 1  # top: C2b gives x no other child, C2a only non-leaves
             mark = x
+        else:
+            if not children[x]:  # x is a leaf, so not the root
+                leaves[parent[x]] -= 1
+            leaves[x] += 1
+            if parent[x] == mark and not leaves[mark]:
+                mark = x
+        children[x].add(top)
+        parent[top], children[top] = x, set()
     image = IncreasingTree._standard(parent[1:])
-    return MarkedTree(image, mark), _case(tree, mark, n)
+    return MarkedTree._trusted(image, mark), _case(tree, mark, n)
 
 
 def forward(p: CycleDecomposition) -> MarkedTree:
@@ -380,7 +395,7 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
     if not t.is_standard:
         raise DomainError("inverse needs ground set 0..n-1")
     tree = _Draft.of(t)
-    parent, children, drop_leaf = tree.parent, tree.children, tree.drop_leaf
+    parent, children, leaves = tree.parent, tree.children, tree.leaves
     mark = mt.mark
     # top down: (top, anchor or partner, whether the splice is a 2-cycle)
     splices: list[tuple[int, int, bool]] = []
@@ -388,17 +403,24 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
         if children[top] is None:
             continue
         v = parent[top]
-        if parent[v] < 0 and len(children[v]) == 1:  # one edge left
+        siblings = children[v]
+        if parent[v] < 0 and len(siblings) == 1:  # one edge left
             break
         tag = _classify(tree, mark, top)
-        drop_leaf(top)
+        siblings.remove(top)
+        children[top] = None
+        leaves[v] -= 1
+        if tag is C2B:  # the mark v goes too, and its parent keeps a leaf child
+            splices.append((top, v, True))
+            mark = parent[v]
+            children[mark].remove(v)
+            children[v] = None
+            continue
+        if not siblings:  # v is a leaf now, and not the root
+            leaves[parent[v]] += 1
         if tag is C1C_II:
             splices.append((top, mark, False))
             mark = parent[mark]
-        elif tag is C2B:
-            splices.append((top, mark, True))
-            m, mark = mark, parent[mark]
-            drop_leaf(m)
         elif tag is C2A:
             splices.append((top, mark, True))
             mark = _undo_restructure(tree, mark)

@@ -329,12 +329,13 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     ``forward(inverse(mt)) = mt`` needs no second pass.
 
     The pass runs in blocks of derangements split by the value p(0)
-    (``_checked_blocks``): from n = 7 up, on a POSIX system with more than
-    one usable CPU and no other thread running, each block but the first
-    is checked in a forked child process while this process checks the
-    first.  The blocks' image keys, case tallies and failure texts are
-    then merged in derangement order, so the report is the one a single
-    block gives, and repeated images are found across blocks.
+    (``_start_blocks``, then ``_finish_verification``): from n = 7 up, on
+    a POSIX system with more than one usable CPU and no other thread
+    running, each block but the first is checked in a forked child process
+    while this process checks the first.  The blocks' image keys, case
+    tallies and failure texts are then merged in derangement order, so the
+    report is the one a single block gives, and repeated images are found
+    across blocks.
 
     The scan walks parent words and builds no tree, ``image`` keeps each
     derangement's index, not the derangement, and text is made only for a
@@ -349,24 +350,36 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
         raise DomainError("n must be at least 2")
     check_verification_size(n, size_limit)
     start = time.perf_counter()
+    return _finish_verification(n, *_start_blocks(n), start)
+
+
+def _finish_verification(n: int, first: range, children: list[_Child],
+                         start: float) -> VerificationReport:
+    """The report of size n from the blocks ``_start_blocks(n)`` started,
+    timed from ``start``: this process checks its own block ``first``, then
+    merges each child's result in order.  Reaps every child, also when it
+    raises."""
     failures: list[str] = []
     histogram: Counter[CaseTag] = Counter()
     image: dict[tuple[int, ...] | str, int] = {}
     derangements: list[CycleDecomposition] | None = None  # built on the first repeat
     derangement_count = 0
-    for keys, tags, texts in _checked_blocks(n):
-        histogram.update({CaseTag(value): count for value, count in tags.items()})
-        for i, key in enumerate(keys):
-            index = derangement_count + i
-            if key is not None and image.setdefault(key, index) != index:
-                if derangements is None:
-                    derangements = list(gen_derangements(n))
-                failures.append(f"{derangements[index].serialize()} and"
-                                f" {derangements[image[key]].serialize()}"
-                                f" map to the same tree {_text(key)}")
-            if i in texts:
-                failures.append(texts[i])
-        derangement_count += len(keys)
+    try:
+        for keys, tags, texts in _finished_blocks(n, first, children):
+            histogram.update({CaseTag(value): count for value, count in tags.items()})
+            for i, key in enumerate(keys):
+                index = derangement_count + i
+                if key is not None and image.setdefault(key, index) != index:
+                    if derangements is None:
+                        derangements = list(gen_derangements(n))
+                    failures.append(f"{derangements[index].serialize()} and"
+                                    f" {derangements[image[key]].serialize()}"
+                                    f" map to the same tree {_text(key)}")
+                if i in texts:
+                    failures.append(texts[i])
+            derangement_count += len(keys)
+    finally:
+        _reap(children)
     marked_count = 0
     for word, marks in _marked_words(n):
         for v in marks:
@@ -418,38 +431,59 @@ def _check_block(n: int, firsts: range) -> _Block:
 
 
 _FORK_MIN_SIZE = 7  # below this, one fork costs about what it saves
+_Child = tuple[range, tuple[int, int] | None]  # a block, and _fork_check's result for it
 
 
-def _checked_blocks(n: int) -> Iterator[_Block]:
-    """``_check_block`` over the blocks of ``_blocks(n, parts)``, in order.
+def _start_blocks(n: int) -> tuple[range, list[_Child]]:
+    """The start half of checking the blocks of ``_blocks(n, parts)``: fork
+    a child for each block but the first, and return the first block, the
+    one this process checks, with the children.  ``_finish_verification``
+    is the finish half; ``_reap`` cleans up when a caller cannot reach it.
 
     From n = 7 up there are min(usable CPUs, n - 1) parts when ``os.fork``
     exists and no other thread runs, since forking with threads is
-    unsafe; else one.  Each block but the first is checked in a forked
-    child, which sends its result back through a pipe, while this process
-    checks the first block, the smallest, since it merges too.  A block
-    whose child cannot be forked or does not exit 0 is checked here
-    instead, so the outcome, or the exception, is the one-block one.
-    Every child is reaped before this generator finishes or is closed.
+    unsafe; else one.  The first block is the smallest, since this process
+    merges too.  If a fork raises, the children forked so far are reaped.
     """
     parts = 1
     if n >= _FORK_MIN_SIZE and hasattr(os, "fork") and threading.active_count() == 1:
         parts = min(_usable_cpus(), n - 1)
     first, *rest = _blocks(n, parts)
-    children: list[tuple[range, tuple[int, int] | None]] = []  # (block, _fork_check's)
+    children: list[_Child] = []
     try:
         for firsts in rest:
             children.append((firsts, _fork_check(n, firsts)))
-        yield _check_block(n, first)
-        while children:
-            firsts, child = children.pop(0)
-            result = None if child is None else _collect(*child)
-            yield _check_block(n, firsts) if result is None else result
-    finally:
-        for _, child in children:  # left when a block checked here raised
-            if child is not None:
-                os.close(child[1])
-                os.waitpid(child[0], 0)
+    except BaseException:
+        _reap(children)
+        raise
+    return first, children
+
+
+def _finished_blocks(n: int, first: range, children: list[_Child]) -> Iterator[_Block]:
+    """``_check_block`` of ``first`` here, then each child's result, in
+    order, taking each child off ``children`` as it is collected.  A block
+    whose child could not be forked or did not exit 0 is checked here
+    instead, so the outcome, or the exception, is the one-block one."""
+    yield _check_block(n, first)
+    while children:
+        firsts, child = children.pop(0)
+        result = None if child is None else _collect(*child)
+        yield _check_block(n, firsts) if result is None else result
+
+
+def _reap(children: list[_Child]) -> None:
+    """Close the pipes of the children left in ``children``, then wait for
+    each, and empty the list.  A child blocked on writing to a full pipe
+    ends once no process holds its read end; a later child holds copies of
+    the earlier children's read ends, so every pipe is closed before the
+    first wait."""
+    for _, child in children:
+        if child is not None:
+            os.close(child[1])
+    for _, child in children:
+        if child is not None:
+            os.waitpid(child[0], 0)
+    children.clear()
 
 
 def _usable_cpus() -> int:

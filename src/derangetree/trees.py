@@ -292,6 +292,18 @@ class MarkedTree:
             r = self.tree.rank(self.mark)  # only to word the error
             raise DomainError(f"marked vertex {self.mark} has rank {r}, need rank 1")
 
+    @classmethod
+    def _trusted(cls, tree: IncreasingTree, mark: int) -> "MarkedTree":
+        """``tree`` marked at ``mark`` without ``__post_init__``'s checks.
+
+        Only for an int ``mark`` that has a leaf child in ``tree``; the
+        caller states why it holds.
+        """
+        marked = object.__new__(cls)
+        fields = marked.__dict__  # past the frozen dataclass's __setattr__
+        fields["tree"], fields["mark"] = tree, mark
+        return marked
+
     @property
     def size(self) -> int:
         return self.tree.size

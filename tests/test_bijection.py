@@ -22,8 +22,8 @@ from derangetree import (
     inverse,
     parse_cycles,
 )
-from util import (_trees_by_parent_choice, assert_draft_matches, assert_matches_validated,
-                  independent_case_conditions, lift_tree)
+from util import (_trees_by_parent_choice, assert_draft_matches, assert_marked_matches_validated,
+                  independent_case_conditions, lift_tree, naive_leaves)
 
 # worked mappings, copied from the construction's defining figures
 GOLDEN = [
@@ -260,19 +260,23 @@ def test_c2a_children_property():
 
 
 def test_forward_output_always_well_formed():
-    # MarkedTree construction enforces the rank-1 mark; spot-check the rest
-    for p in gen_derangements(6):
-        mt = forward(p)
-        assert mt.tree.is_standard
-        assert mt.tree.size == 6
-        assert mt.tree.rank(mt.mark) == 1
+    # forward builds its image without MarkedTree's checks, so the rank-1
+    # mark is checked here, also against the leaves read off the parents
+    for n in range(2, 9):
+        for p in gen_derangements(n):
+            mt = forward(p)
+            assert mt.tree.is_standard
+            assert mt.tree.size == n
+            assert mt.tree.has_leaf_child(mt.mark)
+            assert naive_leaves(mt.tree) & set(mt.tree.children(mt.mark))
 
 
 def test_forward_images_match_validated_rebuild():
-    # images are built from their parent map without the constructor's checks
+    # images are built from their parent word and mark without the
+    # constructors' checks
     for n in range(2, 9):
         for p in gen_derangements(n):
-            assert_matches_validated(forward(p).tree)
+            assert_marked_matches_validated(forward(p))
 
 
 @st.composite

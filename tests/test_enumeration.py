@@ -1,10 +1,13 @@
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -541,11 +544,135 @@ def test_verify_scan_holds_no_derangements(monkeypatch):
 VERIFY_JSON_SHA256 = "e7b57dff639c14a18fd363b7865497e012c9452d69e28f0998ec4fa69fe94b71"
 
 
+def json_digest(out):
+    kept = "".join(line for line in out.splitlines(keepends=True) if "elapsed_seconds" not in line)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
 def test_verify_json_report_is_golden(capsys):
     assert run(["verify", "--max-size", "8", "--json"]) == 0
-    out = capsys.readouterr().out
-    kept = "".join(line for line in out.splitlines(keepends=True) if "elapsed_seconds" not in line)
-    assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_JSON_SHA256
+    assert json_digest(capsys.readouterr().out) == VERIFY_JSON_SHA256
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in this process if the block runs past ``seconds``."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def verify_command(monkeypatch, cpus, max_size=8):
+    """``verify --max-size max_size --json`` as if ``cpus`` CPUs were
+    usable: the exit code, stdout as ``run`` printed it, the number of
+    children forked, and the most of them alive at once."""
+    forks, reaped, most = [], [], 0
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        nonlocal most
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+            most = max(most, len(forks) - len(reaped))
+        return pid
+
+    def counted_waitpid(pid, options):
+        reaped.append(pid)
+        return real_waitpid(pid, options)
+
+    out = io.StringIO()
+    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(["verify", "--max-size", str(max_size), "--json"])
+    finally:
+        monkeypatch.setattr(os, "fork", real_fork)
+        monkeypatch.setattr(os, "waitpid", real_waitpid)
+    return code, out.getvalue(), len(forks), most
+
+
+@forking
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+def test_largest_size_started_first_keeps_the_golden_report(cpus, monkeypatch):
+    # n = 8 forks min(cpus, 7) - 1 children first, then n = 7 its own
+    code, out, forks, most = verify_command(monkeypatch, cpus)
+    assert code == 0
+    assert json_digest(out) == VERIFY_JSON_SHA256
+    assert forks == most == min(cpus, 7) - 1 + min(cpus, 6) - 1
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_at_most_two_sizes_have_children_at_once(cpus, monkeypatch):
+    monkeypatch.setattr(derangetree.enumeration, "_FORK_MIN_SIZE", 5)
+    _, expected, _, _ = verify_command(monkeypatch, 1, max_size=7)
+    code, out, forks, most = verify_command(monkeypatch, cpus, max_size=7)
+    assert code == 0 and json_digest(out) == json_digest(expected)
+    # sizes 7, 5 and 6 fork in that order; 5's children are reaped before 6 forks
+    per_size = [min(cpus, n - 1) - 1 for n in (7, 5, 6)]
+    assert forks == sum(per_size)
+    assert most == per_size[0] + per_size[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("size", [5, 8])
+def test_no_child_outlives_a_verify_command_that_raises(size, cpus, monkeypatch):
+    # at 5, while n = 8's children run; at 8, in this process's own block.
+    # With 3 CPUs the second child holds a copy of the first one's pipe.
+    parent = os.getpid()
+
+    def interrupted_here(p):
+        if os.getpid() == parent and p.size == size:
+            raise KeyboardInterrupt
+        return forward_with_case(p)
+
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", interrupted_here)
+    with time_limit(60), pytest.raises(KeyboardInterrupt):
+        verify_command(monkeypatch, cpus)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+def test_block_of_a_dead_child_of_the_largest_size_is_checked_again(monkeypatch):
+    parent = os.getpid()
+
+    def dies_in_a_child_of_8(p):
+        if os.getpid() != parent and p.size == 8:
+            os._exit(1)
+        return forward_with_case(p)
+
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", dies_in_a_child_of_8)
+    with time_limit(60):
+        code, out, forks, _ = verify_command(monkeypatch, 3)
+    assert code == 0 and forks == 4
+    assert json_digest(out) == VERIFY_JSON_SHA256
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+def test_verify_reports_add_up_to_at_most_the_wall_time(monkeypatch):
+    start = time.perf_counter()
+    code, out, _, _ = verify_command(monkeypatch, 2)
+    wall = time.perf_counter() - start
+    assert code == 0
+    assert sum(report["elapsed_seconds"] for report in json.loads(out)) <= wall
 
 
 def test_report_text_and_dict():

@@ -17,8 +17,8 @@ import pytest
 from derangetree import (CaseTag, CycleDecomposition, IncreasingTree, MarkedTree, bijection,
                          classify_tree, forward, forward_with_case, inverse)
 from derangetree.cli import run
-from util import (assert_draft_matches, assert_matches_validated, independent_case_conditions,
-                  random_marked_tree)
+from util import (assert_draft_matches, assert_marked_matches_validated,
+                  independent_case_conditions, random_marked_tree)
 
 N = 5000
 
@@ -52,7 +52,7 @@ def test_round_trip_deep_shapes(name):
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_deep_images_match_validated_rebuild(name):
-    assert_matches_validated(forward(CycleDecomposition(SHAPES[name])).tree)
+    assert_marked_matches_validated(forward(CycleDecomposition(SHAPES[name])))
 
 
 def test_nested_pairs_restructure_at_every_level():
@@ -83,7 +83,7 @@ def test_round_trip_random_marked_trees(n, seed):
     for mt in random_marked_trees(n, seed):
         image = forward(inverse(mt))
         assert image == mt
-        assert_matches_validated(image.tree)
+        assert_marked_matches_validated(image)
 
 
 def test_random_marked_trees_undo_c2a_with_several_movers(monkeypatch):
@@ -153,7 +153,7 @@ def test_round_trip_wide_shapes(shape):
     assert p.size == 24000 and p.is_derangement
     image = forward(p)
     assert image == mt
-    assert_matches_validated(image.tree)
+    assert_marked_matches_validated(image)
     assert inverse(image) == p
 
 

@@ -160,16 +160,33 @@ def independent_case_conditions(mt: MarkedTree) -> dict[CaseTag, bool]:
     }
 
 
+def validated_rebuild(tree: IncreasingTree) -> IncreasingTree:
+    """The tree the validating constructor builds from ``tree``'s
+    ``parent_of`` reads on 0..n-1."""
+    return IncreasingTree({v: tree.parent_of(v) for v in range(1, tree.size)},
+                          labels=range(tree.size))
+
+
 def assert_matches_validated(tree: IncreasingTree) -> None:
-    """``tree`` against the tree the validating constructor builds from its
-    ``parent_of`` reads on 0..n-1: equal, with equal hash and text, and with
-    the same children, in the same order, at every vertex."""
-    ref = IncreasingTree({v: tree.parent_of(v) for v in range(1, tree.size)},
-                         labels=range(tree.size))
+    """``tree`` against its validated rebuild: equal, with equal hash and
+    text, and with the same children, in the same order, at every vertex."""
+    ref = validated_rebuild(tree)
     assert tree == ref and hash(tree) == hash(ref)
     assert tree.labels == ref.labels
     assert all(tree.children(v) == ref.children(v) for v in ref.labels)
     assert tree.serialize() == ref.serialize()
+
+
+def assert_marked_matches_validated(mt: MarkedTree) -> None:
+    """``mt`` against ``MarkedTree`` of its tree's validated rebuild and its
+    mark, whose constructor checks that the mark has rank 1: the trees
+    match as in ``assert_matches_validated``, and the marked trees are
+    equal, with equal hash and text and an ``int`` mark."""
+    assert_matches_validated(mt.tree)
+    ref = MarkedTree(validated_rebuild(mt.tree), mt.mark)
+    assert mt == ref and hash(mt) == hash(ref)
+    assert type(mt.mark) is int
+    assert mt.serialize() == ref.serialize()
 
 
 def assert_draft_matches(draft, tree: IncreasingTree) -> None:
