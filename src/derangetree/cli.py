@@ -17,15 +17,12 @@ import functools
 import json
 import os
 import sys
-import time
 
 from .bijection import CaseTag, forward, inverse
 from .cycles import parse_cycles
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
-    _finish_verification,
-    _reap,
-    _start_blocks,
+    _verify_sizes,
     case_counts,
     check_verification_size,
     gen_derangements,
@@ -33,7 +30,6 @@ from .enumeration import (
     gen_marked_trees,
     rank_count_table,
     recurrence_check,
-    verify_bijection,
 )
 from .errors import DomainError, FormatError, InternalInvariantError, VerificationLimitError
 from .render import to_dot
@@ -107,17 +103,7 @@ def _cmd_verify(args) -> int:
     if args.max_size < 2:
         raise DomainError("--max-size must be at least 2")
     check_verification_size(args.max_size, args.size_limit)
-    # The largest size's children start first and run while this process
-    # checks the smaller sizes; that size is finished last, and its report
-    # is timed from the start of this process's own block.
-    first, children = _start_blocks(args.max_size)
-    try:
-        reports = [verify_bijection(m, size_limit=args.size_limit)
-                   for m in range(2, args.max_size)]
-        reports.append(
-            _finish_verification(args.max_size, first, children, time.perf_counter()))
-    finally:
-        _reap(children)  # empty by now, unless a smaller size raised
+    reports = _verify_sizes(range(2, args.max_size + 1))
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

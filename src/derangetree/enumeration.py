@@ -8,7 +8,9 @@ size in a single pass over the derangements plus a coverage scan of the
 marked trees, and refuses sizes past a hard ceiling instead of degrading.
 From n = 7 up it splits the pass into blocks by the value p(0) and checks
 all but one of them in forked child processes, one per usable CPU; the
-report is the same as from one block.
+report is the same as from one block.  One function, ``_verify_sizes``,
+owns that schedule, for one size or for the sizes 2..M of the ``verify``
+command, and reaps every child it forks in one ``finally``.
 ``case_counts`` classifies every derangement of one size.  The rank tables
 (``count_rank_k``, ``rank_count_table``, ``recurrence_check``) enumerate
 nothing: they count exactly, in integers, from a recurrence on the rank
@@ -328,14 +330,14 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     ``forward(p)``, and ``inverse``, being deterministic, sends it to p, so
     ``forward(inverse(mt)) = mt`` needs no second pass.
 
-    The pass runs in blocks of derangements split by the value p(0)
-    (``_start_blocks``, then ``_finish_verification``): from n = 7 up, on
-    a POSIX system with more than one usable CPU and no other thread
-    running, each block but the first is checked in a forked child process
-    while this process checks the first.  The blocks' image keys, case
-    tallies and failure texts are then merged in derangement order, so the
-    report is the one a single block gives, and repeated images are found
-    across blocks.
+    The pass runs in blocks of derangements split by the value p(0): from
+    n = 7 up, on a POSIX system with more than one usable CPU and no other
+    thread running, each block but the first is checked in a forked child
+    process while this process checks the first.  The blocks' image keys,
+    case tallies and failure texts are then merged in derangement order,
+    so the report is the one a single block gives, and repeated images are
+    found across blocks.  ``_verify_sizes`` does all of it, and it reaps
+    every child it forked before it returns or raises.
 
     The scan walks parent words and builds no tree, ``image`` keeps each
     derangement's index, not the derangement, and text is made only for a
@@ -349,23 +351,38 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     if n < 2:
         raise DomainError("n must be at least 2")
     check_verification_size(n, size_limit)
-    start = time.perf_counter()
-    return _finish_verification(n, *_start_blocks(n), start)
+    return _verify_sizes(range(n, n + 1))[0]
 
 
-def _finish_verification(n: int, first: range, children: list[_Child],
-                         start: float) -> VerificationReport:
-    """The report of size n from the blocks ``_start_blocks(n)`` started,
-    timed from ``start``: this process checks its own block ``first``, then
-    merges each child's result in order.  Reaps every child, also when it
-    raises."""
-    failures: list[str] = []
-    histogram: Counter[CaseTag] = Counter()
-    image: dict[tuple[int, ...] | str, int] = {}
-    derangements: list[CycleDecomposition] | None = None  # built on the first repeat
-    derangement_count = 0
+def _verify_sizes(sizes: range) -> list[VerificationReport]:
+    """The reports of ``verify_bijection(m)`` for m in ``sizes``, which the
+    caller has checked against the ceiling, in order.
+
+    The one owner of the child processes: the last size's children are
+    forked first, and they run while this process verifies the smaller
+    sizes through ``verify_bijection``, each of which forks and reaps its
+    own, so at most two sizes have children at once.  Then this process
+    checks its own block of the last size, timing that size's report from
+    the start of the block, and merges the children's results in order;
+    a block whose child could not be forked or did not send its whole
+    result is checked here instead, so the outcome, or the exception, is
+    the one-block one.  The coverage scan comes last.  Whatever raises,
+    the ``finally`` reaps every child forked here.
+    """
+    n = sizes[-1]
+    children: list[_Child] = []
     try:
-        for keys, tags, texts in _finished_blocks(n, first, children):
+        first = _start_blocks(n, children)
+        reports = [verify_bijection(m) for m in sizes[:-1]]
+        start = time.perf_counter()
+        failures: list[str] = []
+        histogram: Counter[CaseTag] = Counter()
+        image: dict[tuple[int, ...] | str, int] = {}
+        derangements: list[CycleDecomposition] | None = None  # built on the first repeat
+        derangement_count = 0
+        for firsts, child in [(first, None), *children]:
+            block = None if child is None else _collect(child[1])
+            keys, tags, texts = block or _check_block(n, firsts)
             histogram.update({CaseTag(value): count for value, count in tags.items()})
             for i, key in enumerate(keys):
                 index = derangement_count + i
@@ -378,25 +395,26 @@ def _finish_verification(n: int, first: range, children: list[_Child],
                 if i in texts:
                     failures.append(texts[i])
             derangement_count += len(keys)
+        marked_count = 0
+        for word, marks in _marked_words(n):
+            for v in marks:
+                marked_count += 1
+                if (*word, v) not in image:
+                    failures.append(f"{_text((*word, v))} is not the image of any derangement")
+        if derangement_count != marked_count:
+            failures.append(
+                f"count mismatch: {derangement_count} derangements vs {marked_count} marked trees")
+        reports.append(VerificationReport(
+            n=n,
+            derangement_count=derangement_count,
+            marked_tree_count=marked_count,
+            round_trip_failures=failures,
+            case_histogram=dict(histogram),
+            elapsed_seconds=time.perf_counter() - start,
+        ))
+        return reports
     finally:
         _reap(children)
-    marked_count = 0
-    for word, marks in _marked_words(n):
-        for v in marks:
-            marked_count += 1
-            if (*word, v) not in image:
-                failures.append(f"{_text((*word, v))} is not the image of any derangement")
-    if derangement_count != marked_count:
-        failures.append(
-            f"count mismatch: {derangement_count} derangements vs {marked_count} marked trees")
-    return VerificationReport(
-        n=n,
-        derangement_count=derangement_count,
-        marked_tree_count=marked_count,
-        round_trip_failures=failures,
-        case_histogram=dict(histogram),
-        elapsed_seconds=time.perf_counter() - start,
-    )
 
 
 _Block = tuple[list, dict[str, int], dict[int, str]]
@@ -434,56 +452,36 @@ _FORK_MIN_SIZE = 7  # below this, one fork costs about what it saves
 _Child = tuple[range, tuple[int, int] | None]  # a block, and _fork_check's result for it
 
 
-def _start_blocks(n: int) -> tuple[range, list[_Child]]:
-    """The start half of checking the blocks of ``_blocks(n, parts)``: fork
-    a child for each block but the first, and return the first block, the
-    one this process checks, with the children.  ``_finish_verification``
-    is the finish half; ``_reap`` cleans up when a caller cannot reach it.
+def _start_blocks(n: int, children: list[_Child]) -> range:
+    """Fork a child for each block of ``_blocks(n, parts)`` but the first,
+    appending it to ``children`` for the caller to reap, and return the
+    first block, the one this process checks.
 
     From n = 7 up there are min(usable CPUs, n - 1) parts when ``os.fork``
     exists and no other thread runs, since forking with threads is
     unsafe; else one.  The first block is the smallest, since this process
-    merges too.  If a fork raises, the children forked so far are reaped.
+    merges too.
     """
     parts = 1
     if n >= _FORK_MIN_SIZE and hasattr(os, "fork") and threading.active_count() == 1:
         parts = min(_usable_cpus(), n - 1)
     first, *rest = _blocks(n, parts)
-    children: list[_Child] = []
-    try:
-        for firsts in rest:
-            children.append((firsts, _fork_check(n, firsts)))
-    except BaseException:
-        _reap(children)
-        raise
-    return first, children
-
-
-def _finished_blocks(n: int, first: range, children: list[_Child]) -> Iterator[_Block]:
-    """``_check_block`` of ``first`` here, then each child's result, in
-    order, taking each child off ``children`` as it is collected.  A block
-    whose child could not be forked or did not exit 0 is checked here
-    instead, so the outcome, or the exception, is the one-block one."""
-    yield _check_block(n, first)
-    while children:
-        firsts, child = children.pop(0)
-        result = None if child is None else _collect(*child)
-        yield _check_block(n, firsts) if result is None else result
+    for firsts in rest:
+        children.append((firsts, _fork_check(n, firsts)))
+    return first
 
 
 def _reap(children: list[_Child]) -> None:
-    """Close the pipes of the children left in ``children``, then wait for
-    each, and empty the list.  A child blocked on writing to a full pipe
-    ends once no process holds its read end; a later child holds copies of
-    the earlier children's read ends, so every pipe is closed before the
-    first wait."""
+    """Close the pipes of ``children``, then wait for each child.  A child
+    blocked on writing to a full pipe ends once no process holds its read
+    end; a later child holds copies of the earlier children's read ends,
+    so every pipe is closed before the first wait."""
     for _, child in children:
         if child is not None:
             os.close(child[1])
     for _, child in children:
         if child is not None:
             os.waitpid(child[0], 0)
-    children.clear()
 
 
 def _usable_cpus() -> int:
@@ -509,16 +507,24 @@ def _blocks(n: int, parts: int) -> list[range]:
 def _fork_check(n: int, firsts: range) -> tuple[int, int] | None:
     """Fork a child that checks one block and writes the marshalled result
     to a pipe, after its length in 8 bytes; return the child's pid and the
-    pipe's read end, or None when no process could be forked.
+    pipe's read end, or None when no pipe could be made or no process
+    forked, so that the block is checked here.
 
     The child leaves by ``os._exit`` whatever happens, so it never returns
     into the caller's stack and never flushes the stdio buffers it
-    inherited.
+    inherited.  Forking by hand, not through ``multiprocessing`` or
+    ``concurrent.futures``, keeps their imports out of the peak RSS:
+    importing ``multiprocessing.connection`` adds 1.2 MB and
+    ``concurrent.futures.process`` 2.0 MB (Python 3.11.7), against the
+    ~23 MB of ``verify --max-size 8``.
     """
-    read, write = os.pipe()
+    try:
+        read, write = os.pipe()
+    except OSError:  # out of descriptors
+        return None
     try:
         pid = os.fork()
-    except OSError:  # out of processes or memory: the block is checked here
+    except OSError:  # out of processes or memory
         os.close(read)
         os.close(write)
         return None
@@ -537,22 +543,18 @@ def _fork_check(n: int, firsts: range) -> tuple[int, int] | None:
     return pid, read
 
 
-def _collect(pid: int, fd: int) -> _Block | None:
-    """Read a child's result from the pipe ``fd`` and reap the child; None
-    unless it exited 0, which it does only once the whole result is sent.
+def _collect(fd: int) -> _Block | None:
+    """The result a child of ``_fork_check`` wrote to the pipe ``fd``, or
+    None unless all of it arrived, which it does only once the child has
+    checked its whole block.  The pipe stays open, for ``_reap`` to close.
 
     The length comes first, so the result is read into one buffer of its
     own size, not into one grown as it arrives.
     """
-    try:
-        with open(fd, "rb") as pipe:
-            size = int.from_bytes(pipe.read(8), "little")
-            data = pipe.read(size)
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return None
-    return marshal.loads(data)
+    with open(fd, "rb", closefd=False) as pipe:
+        size = int.from_bytes(pipe.read(8), "little")
+        data = pipe.read(size)
+    return marshal.loads(data) if data and len(data) == size else None
 
 
 @dataclass(frozen=True)

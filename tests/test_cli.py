@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import derangetree.cli
+import derangetree.enumeration
 from derangetree import InternalInvariantError
 from derangetree.cli import run
 
@@ -113,7 +114,12 @@ def test_verify_respects_ceiling(capsys):
 
 def test_verify_refuses_before_running_any_size(capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(derangetree.cli, "verify_bijection", lambda n, **kw: ran.append(n))
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(derangetree.enumeration, "verify_bijection", lambda n, **kw: ran.append(n))
+    monkeypatch.setattr(os, "fork", no_fork)
     assert run(["verify", "--max-size", "9", "--json"]) == 2
     assert ran == []
     out, err = out_of(capsys)

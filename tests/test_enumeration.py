@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -6,6 +7,8 @@ import itertools
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -312,6 +315,21 @@ def test_verify_records_injected_fault(fault, monkeypatch, capsys):
 forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
+def open_descriptors():
+    """The number of descriptors this process has open, or None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@contextlib.contextmanager
+def nothing_left_behind():
+    """Assert that the block leaves no child unreaped and no descriptor open."""
+    before = open_descriptors()
+    yield
+    with pytest.raises(ChildProcessError):  # every child has been reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert open_descriptors() == before
+
+
 def verify_in_blocks(monkeypatch, n, cpus):
     """verify_bijection(n) as if ``cpus`` CPUs were usable, and the number
     of children it forked."""
@@ -395,11 +413,10 @@ def test_forked_report_equals_the_one_block_report(n, monkeypatch):
     one_block, _ = verify_in_blocks(monkeypatch, n, 1)
     assert one_block.ok
     for cpus in (2, 3, 16):
-        report, forks = verify_in_blocks(monkeypatch, n, cpus)
+        with nothing_left_behind():
+            report, forks = verify_in_blocks(monkeypatch, n, cpus)
         assert forks == min(cpus, n - 1) - 1
         assert report_without_time(report) == report_without_time(one_block)
-        with pytest.raises(ChildProcessError):  # every child has been reaped
-            os.waitpid(-1, os.WNOHANG)
 
 
 @forking
@@ -416,12 +433,27 @@ def test_blocks_that_cannot_fork_are_checked_here(monkeypatch):
 
     monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", fork_once)
-    report = verify_bijection(7)
+    with nothing_left_behind():
+        report = verify_bijection(7)
     monkeypatch.setattr(os, "fork", real_fork)
     assert len(calls) == 2
     assert report_without_time(report) == expected
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+def test_blocks_without_a_pipe_are_checked_here(monkeypatch):
+    expected = report_without_time(verify_bijection(8))
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    with nothing_left_behind():
+        report, forks = verify_in_blocks(monkeypatch, 8, 2)
+        code, out, _, _ = verify_command(monkeypatch, 3)
+    assert forks == 0
+    assert report_without_time(report) == expected
+    assert code == 0 and json_digest(out) == VERIFY_JSON_SHA256
 
 
 @forking
@@ -434,10 +466,8 @@ def test_no_child_outlives_a_verification_that_raises(monkeypatch):
         return forward_with_case(p)
 
     monkeypatch.setattr(derangetree.enumeration, "forward_with_case", interrupted_here)
-    with pytest.raises(KeyboardInterrupt):
+    with nothing_left_behind(), pytest.raises(KeyboardInterrupt):
         verify_in_blocks(monkeypatch, 8, 2)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_block_without_a_second_cpu_fork_or_a_lone_thread(monkeypatch):
@@ -480,14 +510,13 @@ def test_block_of_a_dead_child_is_checked_again(monkeypatch):
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(60)
     try:
-        report, forks = verify_in_blocks(monkeypatch, 8, 3)
+        with nothing_left_behind():
+            report, forks = verify_in_blocks(monkeypatch, 8, 3)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert forks == 2
     assert report_without_time(report) == expected
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
@@ -554,6 +583,18 @@ def test_verify_json_report_is_golden(capsys):
     assert json_digest(capsys.readouterr().out) == VERIFY_JSON_SHA256
 
 
+def test_verify_command_is_clean_in_dev_mode():
+    # -X dev shows, among others, the ResourceWarning of a file left unclosed
+    src = os.path.dirname(os.path.dirname(derangetree.enumeration.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "derangetree.cli",
+         "verify", "--max-size", "8", "--json"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert json_digest(proc.stdout.decode()) == VERIFY_JSON_SHA256
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in this process if the block runs past ``seconds``."""
@@ -605,12 +646,11 @@ def verify_command(monkeypatch, cpus, max_size=8):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
 def test_largest_size_started_first_keeps_the_golden_report(cpus, monkeypatch):
     # n = 8 forks min(cpus, 7) - 1 children first, then n = 7 its own
-    code, out, forks, most = verify_command(monkeypatch, cpus)
+    with nothing_left_behind():
+        code, out, forks, most = verify_command(monkeypatch, cpus)
     assert code == 0
     assert json_digest(out) == VERIFY_JSON_SHA256
     assert forks == most == min(cpus, 7) - 1 + min(cpus, 6) - 1
-    with pytest.raises(ChildProcessError):  # every child has been reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
 @forking
@@ -618,14 +658,13 @@ def test_largest_size_started_first_keeps_the_golden_report(cpus, monkeypatch):
 def test_at_most_two_sizes_have_children_at_once(cpus, monkeypatch):
     monkeypatch.setattr(derangetree.enumeration, "_FORK_MIN_SIZE", 5)
     _, expected, _, _ = verify_command(monkeypatch, 1, max_size=7)
-    code, out, forks, most = verify_command(monkeypatch, cpus, max_size=7)
+    with nothing_left_behind():
+        code, out, forks, most = verify_command(monkeypatch, cpus, max_size=7)
     assert code == 0 and json_digest(out) == json_digest(expected)
     # sizes 7, 5 and 6 fork in that order; 5's children are reaped before 6 forks
     per_size = [min(cpus, n - 1) - 1 for n in (7, 5, 6)]
     assert forks == sum(per_size)
     assert most == per_size[0] + per_size[2]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @forking
@@ -642,10 +681,8 @@ def test_no_child_outlives_a_verify_command_that_raises(size, cpus, monkeypatch)
         return forward_with_case(p)
 
     monkeypatch.setattr(derangetree.enumeration, "forward_with_case", interrupted_here)
-    with time_limit(60), pytest.raises(KeyboardInterrupt):
+    with time_limit(60), nothing_left_behind(), pytest.raises(KeyboardInterrupt):
         verify_command(monkeypatch, cpus)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @forking
@@ -658,12 +695,10 @@ def test_block_of_a_dead_child_of_the_largest_size_is_checked_again(monkeypatch)
         return forward_with_case(p)
 
     monkeypatch.setattr(derangetree.enumeration, "forward_with_case", dies_in_a_child_of_8)
-    with time_limit(60):
+    with time_limit(60), nothing_left_behind():
         code, out, forks, _ = verify_command(monkeypatch, 3)
     assert code == 0 and forks == 4
     assert json_digest(out) == VERIFY_JSON_SHA256
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @forking
