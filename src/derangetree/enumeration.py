@@ -1,11 +1,12 @@
 """Exhaustive generators, exact rank counts and brute-force verification.
 
 The generators enumerate: trees by choosing each vertex's parent among
-the smaller labels, derangements by backtracking over fixed-point-free
-one-line words, marked trees by marking each vertex with a leaf child
-(the rank-1 vertices).  ``verify_bijection`` checks the bijection for one
-size in a single pass over the derangements plus a coverage scan of the
-marked trees, and refuses sizes past a hard ceiling instead of degrading.
+the smaller labels, derangements by dropping the permutations with a
+fixed point from the lexicographic stream of permutations, marked trees
+by marking each vertex with a leaf child (the rank-1 vertices).
+``verify_bijection`` checks the bijection for one size in a single pass
+over the derangements plus a coverage scan of the marked trees, and
+refuses sizes past a hard ceiling instead of degrading.
 From n = 7 up it splits the pass into blocks by the value p(0) and checks
 all but one of them in forked child processes, one per usable CPU; the
 report is the same as from one block.  One function, ``_verify_sizes``,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import marshal
+import operator
 import os
 import threading
 import time
@@ -74,51 +76,39 @@ def _marked_words(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
 def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
     """All derangements of {0, ..., n-1} in canonical cycle form.
 
-    The one-line words come in lexicographic order, built by backtracking
-    position by position over the values still free, never putting i at
-    position i; so no word with a fixed point is ever built.  Each value
-    goes into one position at most, so every word is a permutation of
-    0..n-1, and the permutation is built from it without ``from_word``'s
-    check.  Empty for n = 1.
+    The one-line words come in lexicographic order: the permutations of
+    0..n-1 in that order, without the ones that have a fixed point (see
+    ``_derangements``).  p(0) = 0 is a fixed point, so the words start
+    with 1..n-1.  Empty for n = 1.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    return _derangements(n, range(n))
+    return _derangements(n, range(1, n))
 
 
 def _derangements(n: int, firsts: Iterable[int]) -> Iterator[CycleDecomposition]:
     """The derangements of ``gen_derangements(n)`` whose one-line word
-    starts with a value in ``firsts``, in the order of ``firsts`` and
-    lexicographic after that.
+    starts with a value x in ``firsts``, each in 1..n-1, in the order of
+    ``firsts`` and lexicographic after that.
 
-    So the stream for a value x is one contiguous run of the full stream,
-    and the runs for consecutive ranges of values follow one another.  For
-    n >= 2 every run for one value x in 1..n-1 holds D(n)/(n-1)
-    derangements: conjugating by the transposition (x y) fixes 0, keeps
-    a permutation fixed-point free and maps p(0) = x to p(0) = y, so it
-    is a bijection between the runs of x and y.
+    For each x, ``itertools.permutations`` of the other values in
+    ascending order gives the rest of the word in lexicographic order, and
+    the filter drops the words with a fixed point and keeps that order.
+    So the stream for x is one contiguous run of the full stream, and the
+    runs for consecutive ranges of values follow one another.  For n >= 2
+    every run for one value x holds D(n)/(n-1) derangements: conjugating
+    by the transposition (x y) fixes 0, keeps a permutation fixed-point
+    free and maps p(0) = x to p(0) = y, so it is a bijection between the
+    runs of x and y.  Each word holds each of 0..n-1 once, so the
+    permutation is built from it without ``from_word``'s check.
     """
-    word: list[int] = []
-    free = [True] * n
-    options = [iter(firsts)]  # the values still to try at each open position
-    while options:
-        i = len(word)
-        for x in options[-1]:
-            if free[x] and x != i:
-                break
-        else:  # position i is exhausted: backtrack
-            options.pop()
-            if word:
-                free[word.pop()] = True
-            continue
-        if i == n - 1:
-            succ = dict(enumerate(word))
-            succ[i] = x
-            yield CycleDecomposition._from_succ(succ)
-            continue
-        word.append(x)
-        free[x] = False
-        options.append(iter(range(n)))
+    for x in firsts:
+        others = [v for v in range(n) if v != x]
+        for rest in itertools.permutations(others):
+            if all(map(operator.ne, rest, range(1, n))):
+                succ = dict(enumerate(rest, 1))
+                succ[0] = x
+                yield CycleDecomposition._from_succ(succ)
 
 
 def gen_marked_trees(n: int) -> Iterator[MarkedTree]:
@@ -304,10 +294,15 @@ def _key(mt: MarkedTree) -> tuple[int, ...] | str:
 
 
 def _text(key: tuple[int, ...] | str) -> str:
-    """The text of the marked tree that ``key`` names (see ``_key``)."""
+    """The text of the marked tree that ``key`` names (see ``_key``).
+
+    Built without ``MarkedTree``'s checks: the key of a repeated image
+    comes from a faulty ``forward``, and its mark may have no leaf child
+    or lie outside the tree, yet its text must name it in the failure.
+    """
     if isinstance(key, str):
         return key
-    return MarkedTree(IncreasingTree._standard(key[:-1]), key[-1]).serialize()
+    return MarkedTree._trusted(IncreasingTree._standard(key[:-1]), key[-1]).serialize()
 
 
 def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> VerificationReport:

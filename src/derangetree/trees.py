@@ -296,8 +296,9 @@ class MarkedTree:
     def _trusted(cls, tree: IncreasingTree, mark: int) -> "MarkedTree":
         """``tree`` marked at ``mark`` without ``__post_init__``'s checks.
 
-        Only for an int ``mark`` that has a leaf child in ``tree``; the
-        caller states why it holds.
+        Only for an int ``mark`` that has a leaf child in ``tree``, or for
+        a marked tree that is only serialized; the caller states which
+        holds.
         """
         marked = object.__new__(cls)
         fields = marked.__dict__  # past the frozen dataclass's __setattr__

@@ -112,6 +112,11 @@ def test_verify_respects_ceiling(capsys):
     assert "ceiling" in err
 
 
+def test_verify_needs_size_two(capsys):
+    assert run(["verify", "--max-size", "1"]) == 2
+    assert out_of(capsys) == ("", "error: --max-size must be at least 2\n")
+
+
 def test_verify_refuses_before_running_any_size(capsys, monkeypatch):
     ran = []
 
@@ -170,6 +175,24 @@ def test_render_plain_tree_has_no_box(capsys):
     out = out_of(capsys)[0]
     assert "shape=box" not in out
     assert out.count("shape=circle") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "--size", "6", "(0 5 3)(1 4 2)"],
+    ["unmap", "size=6;parents=0,1,0,1,0;mark=0"],
+    ["stats", "cases", "--size", "6"],
+    ["render", "size=6;parents=0,1,0,1,0;mark=0"],
+], ids=lambda argv: argv[0])
+def test_command_is_clean_in_dev_mode(argv, capsys):
+    # -X dev shows, among others, the ResourceWarning of a file left unclosed
+    src = os.path.dirname(os.path.dirname(derangetree.cli.__file__))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "derangetree.cli",
+                           *argv], capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert run(argv) == 0
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout.decode() == out_of(capsys)[0]
 
 
 # -- error handling and exit codes --

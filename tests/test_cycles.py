@@ -163,6 +163,8 @@ def test_parse_any_whitespace_separates_labels():
     assert parse_cycles("(0\t1\n2)").cycles == ((0, 1, 2),)
     for text in ["(0 1)", "( 1 0 )", "(0\xa01)", "(1\u30000)"]:  # no-break, ideographic
         assert parse_cycles(text).cycles == ((0, 1),)
+    # whitespace between and around cycles is skipped too
+    assert parse_cycles(" (0 1)\t(2 3) ").serialize() == "(0 1)(2 3)"
 
 
 @given(st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(n)))),

@@ -531,6 +531,38 @@ def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
     assert f"{FAULT_KEY} is not the image of any derangement" in failures
 
 
+@pytest.mark.parametrize("n, cpus, pair, text", [
+    (5, 1, (0, 1), "size=5;parents=0,1,2,3;mark=0"),
+    # the first and the last derangement lie in different blocks
+    pytest.param(7, 2, (0, -1), "size=7;parents=0,1,2,3,4,5;mark=0", marks=forking),
+])
+def test_repeated_image_with_a_bad_mark_is_recorded(n, cpus, pair, text, monkeypatch):
+    # the path's root has rank n - 1, so MarkedTree refuses it
+    stream = list(gen_derangements(n))
+    first, second = (stream[i] for i in pair)
+    path = MarkedTree._trusted(IncreasingTree._standard(list(range(n - 1))), 0)
+    tag = forward_with_case(first)[1]
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case",
+                        lambda p: (path, tag) if p in (first, second) else forward_with_case(p))
+    report, forks = verify_in_blocks(monkeypatch, n, cpus)
+    assert forks == cpus - 1
+    assert (f"{second.serialize()} and {first.serialize()} map to the same tree {text}"
+            in report.round_trip_failures)
+    assert verify_command(monkeypatch, cpus, max_size=n)[0] == 3
+
+
+def test_verify_reports_a_count_mismatch(monkeypatch):
+    def one_mark_short(n):
+        *words, (word, marks) = _marked_words(n)
+        return iter([*words, (word, marks[:-1])])
+
+    monkeypatch.setattr(derangetree.enumeration, "_marked_words", one_mark_short)
+    report = verify_bijection(5)
+    assert report.round_trip_failures == ["count mismatch: 44 derangements vs 43 marked trees"]
+    assert report.marked_tree_count == 43
+    assert run(["verify", "--max-size", "5"]) == 3
+
+
 def test_repeated_images_reenumerate_the_derangements_once(monkeypatch):
     # each odd-indexed derangement maps to the image of the one before it
     derangements = list(gen_derangements(6))

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private module-level name (``_x``) is read somewhere in the package, and
-only ``trees.py`` touches how an ``IncreasingTree`` stores itself.
+private module-level name (``_x``) is read somewhere in the package, only
+``trees.py`` touches how an ``IncreasingTree`` stores itself, and every
+module parses as the oldest Python that ``pyproject.toml`` admits, 3.10.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.
@@ -112,3 +113,15 @@ def test_layout_read_is_caught():
               "def word(tree): return [tree._parent[v] for v in tree.labels[1:]]\n"
               "def nested(mt): return mt.tree._labels\n")
     assert layout_reads(source) == ["3: t._children", "4: tree._parent", "5: mt.tree._labels"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), feature_version=(3, 10))
+
+
+def test_newer_syntax_is_caught():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from derangetree import (
     gen_increasing_trees,
     parse_tree_text,
     parse_word,
+    to_dot,
 )
 from derangetree.trees import _int_field
 from util import brute_rank, descent_count, factorial, naive_leaves, recursive_walk
@@ -292,6 +294,21 @@ def test_parse_errors():
                 "labels=;edges=", "labels=1,2;edges=2:", "size=2;parents=0;mark=0"]:
         with pytest.raises(FormatError):
             IncreasingTree.parse(bad)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: IncreasingTree({}, labels=[]), DomainError, "ground set is empty"),
+    (lambda: parse_tree_text("size=2;size=2"), FormatError, "duplicate field 'size'"),
+    (lambda: parse_tree_text("mark=0;size=2;parents=0"), FormatError,
+     "mark must be the final field"),
+    (lambda: parse_tree_text("labels=1,2;edges=2-1"), FormatError, "malformed edge '2-1'"),
+    (lambda: parse_tree_text("labels=1,2,3;edges=2:1,2:1"), FormatError,
+     "duplicate edge for vertex 2"),
+    (lambda: to_dot(EXAMPLE_TREE, mark=9), DomainError, "unknown vertex label: 9"),
+])
+def test_one_line_diagnostics(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_parse_semantic_error_is_domain_error():
