@@ -20,38 +20,27 @@ top = max S:
 * |S| = 2 is the one base case.  Size 3 comes out of C1 on it, (0 1 2)
   by C1cII and (0 2 1) by C1a, and keeps only its tag, ``BASE3``.
 
-Reading the case.  ``forward`` records none; ``_case`` reads it off the
-finished tree with ``_classify``, as ``inverse`` does per level.  With m
-the mark and v = parent(top), each case leaves a trace only its branch takes:
-
-* C1a: top joins a leaf child m had, so m has two leaf children or more.
-* C1b: v is neither m nor a child of m.
-* C1cI: v is a child of m.
-* C1cII: top is the only child of m = v, whose parent, the old mark, has
-  no leaf child left.
-* C2b: top is the only child of m = j, under a smaller mark that keeps a
-  leaf child besides j.
-* C2a: m = j holds top and only non-leaves, the path head and the moved
-  path vertices (k or above it), so one leaf child among two or more.
-
 The construction recurses on n, but it only ever compares labels, so both
 directions run as two loops over one ``_Draft`` on the original labels.
-``forward`` peels top labels off the cycles, recording per level the label
-that went and its anchor v or partner j, then grows the tree back bottom
-up; ``inverse`` peels top labels off the tree into cycle splices, then
-applies them bottom up.  The input is checked once, at entry, and the
-output is built once, on exit, from its parent word or successor map
-without the validating constructors; ``_Draft``, ``forward_with_case``
-and ``inverse`` argue that it is valid.  No level re-checks the mark, and
-neither does the finished image: ``forward`` hangs top under the new
-mark, keeps the old one after seeing a leaf child under it (C1cI) or
-leaves its children alone (C1b), and ``inverse`` argues its cases.
+``forward`` peels top labels off the cycles with ``_levels``, recording per
+level the label that went and its anchor v or partner j, then grows the
+tree back bottom up with ``_grow``; ``inverse`` peels top labels off the
+tree into cycle splices with ``_peel``, then applies them bottom up.  The
+input is checked once, at entry, and the output is built once, on exit,
+from its parent word or successor map without the validating
+constructors; ``_Draft``, ``_grow`` and ``_peel`` argue that it is valid.
+No level re-checks the mark, and neither does the finished image:
+``_grow`` hangs top under the new mark, keeps the old one after seeing a
+leaf child under it (C1cI) or leaves its children alone (C1b), and
+``_peel`` argues its cases.  ``_classify`` gives the trace each case
+leaves on the tree.
 
 Cost.  The construction only asks whether a vertex is a leaf, has a leaf
 child (rank 1) or neither; ``_Draft`` counts leaf children, so each
 question is one read.  The counts change only where a leaf comes or goes,
-and the loops of ``forward_with_case`` and ``inverse`` update them in
-place, with no method call per level.  Child sets are scanned only by ``max`` in
+and ``_grow`` and ``_peel`` update them in place, each in one loop over
+all the levels it is given: a direction makes one call, not one per
+level.  Child sets are scanned only by ``max`` in
 ``_restructure`` and ``max``/``sorted`` in ``_undo_restructure``: those of
 j and of the path vertices strictly between j and k, at most n labels per
 call.  Such a path vertex ends below j and never again above the mark,
@@ -89,7 +78,7 @@ class CaseTag(enum.Enum):
         return self.value
 
 
-# read as globals by _case, _classify and inverse: ``CaseTag.C1A`` is a slow metaclass hook
+# read as globals by _case, _classify and _peel: ``CaseTag.C1A`` is a slow metaclass hook
 BASE2, BASE3, C1A, C1B, C1C_I, C1C_II, C2A, C2B = CaseTag
 
 
@@ -132,18 +121,18 @@ class _Draft:
     label) and ``leaves``, the count of leaf children, which is positive
     exactly at rank 1.  Nothing is validated here.
 
-    The leaf counts are kept where a leaf comes or goes, with no method
-    call: in the constructor, in ``forward_with_case``'s bottom-up loop and
-    in ``inverse``'s peel loop.  ``move`` and ``replace`` change no count.
+    The leaf counts are kept where a leaf comes or goes, and only in three
+    places: the constructor, ``_grow`` and ``_peel``, whose loops update
+    them inline.  ``move`` and ``replace`` change no count.
 
     ``forward_with_case`` builds its image from the parent word
     ``parent[1:]`` alone, skipping the ``IncreasingTree`` constructor's
     checks.  They hold by construction: the ground set is checked to be
     0..n-1, every label goes back into the tree once, and each edit keeps
-    parents smaller than their children.  ``forward_with_case`` hangs the
-    current top, greater than every label present, or j under a smaller
-    mark (C2b); ``_restructure`` inserts j below a smaller path vertex, or
-    as the root, and moves to j only subtrees whose roots exceed j.
+    parents smaller than their children.  ``_grow`` hangs the current top,
+    greater than every label present, or j under a smaller mark (C2b);
+    ``_restructure`` inserts j below a smaller path vertex, or as the
+    root, and moves to j only subtrees whose roots exceed j.
     ``case2a_restructure`` takes j from the caller, so its result goes
     through the constructor.
     """
@@ -201,24 +190,33 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
     """Map a derangement to its marked tree and the case that fired, which
     is read off the finished tree as ``classify_tree`` reads it.
 
-    The image is marked without ``MarkedTree``'s check, because the loop
-    keeps the mark, a label and so an int, at rank 1.  The base mark a
-    holds the leaf b.  A level hangs top, a new leaf, under x, and only x
-    can stop being a leaf.  C2, either way, and C1cII make x the mark,
-    which then holds top.  In C1a x is the mark and gains top; in C1cI x
-    is a child of the mark, which keeps a leaf child other than x; in C1b
-    x is not a child of the mark, whose children stay as they were.
-    ``verify_bijection`` does not rely on this: a wrong mark gives a key
-    that names no marked tree, so with as many images as marked trees the
-    coverage scan finds a marked tree that no image hits.
+    The image is marked without ``MarkedTree``'s check, because the base
+    mark a holds the leaf b and ``_grow`` keeps the mark, a label and so
+    an int, at rank 1.  ``verify_bijection`` does not rely on this: a
+    wrong mark gives a key that names no marked tree, so with as many
+    images as marked trees the coverage scan finds a marked tree that no
+    image hits.
     """
     _check_derangement(p)
+    n = p.size
+    levels = _levels(p)
+    b, a, _ = levels.pop()  # the last 2-cycle, which is the base
+    tree = _Draft(n, a, [(b, a)])
+    mark = _grow(tree, a, reversed(levels))
+    image = IncreasingTree._standard(tree.parent[1:])
+    return MarkedTree._trusted(image, mark), _case(tree, mark, n)
+
+
+def _levels(p: CycleDecomposition) -> list[tuple[int, int, bool]]:
+    """The levels of derangement ``p`` of 0..n-1, top down, as
+    ``(top, x, paired)``: for each top = n-1, ..., 1 still in the cycles,
+    x is the anchor v = p^(-1)(top) that top leaves, or, paired, its
+    partner j in a 2-cycle that both leave.  The last is the base pair."""
     n = p.size
     # p's own map, without a checked ``image`` call; -1 marks a peeled partner
     succ, pred = [0] * n, [0] * n
     for x, y in p._succ.items():
         succ[x], pred[y] = y, x
-    # top down: (top, anchor v or partner j, whether top was in a 2-cycle)
     levels: list[tuple[int, int, bool]] = []
     for top in range(n - 1, 0, -1):
         if (after := succ[top]) < 0:
@@ -230,13 +228,25 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
         else:
             succ[before], pred[after] = after, before
             levels.append((top, before, False))
-    b, a, _ = levels.pop()  # the last 2-cycle, which is the base
-    tree = _Draft(n, a, [(b, a)])
+    return levels
+
+
+def _grow(tree: _Draft, mark: int, levels: Iterable[tuple[int, int, bool]]) -> int:
+    """Hang each of ``levels``, bottom up, on ``tree`` marked at ``mark``
+    and return the new mark.  A level ``(top, x, paired)`` of ``_levels``
+    hangs top, greater than every label present, under x, which is new to
+    the tree when paired.
+
+    The mark stays at rank 1.  A level hangs top, a new leaf, under x, and
+    only x can stop being a leaf.  C2, either way, and C1cII make x the
+    mark, which then holds top.  In C1a x is the mark and gains top; in
+    C1cI x is a child of the mark, which keeps a leaf child other than x;
+    in C1b x is not a child of the mark, whose children stay as they were.
+    """
     parent, children, leaves = tree.parent, tree.children, tree.leaves
-    mark = a
-    # bottom up: top goes under x, which becomes the mark in C2, and in
-    # C1cII, where x was the mark's only leaf child
-    for top, x, paired in reversed(levels):
+    # top goes under x, which becomes the mark in C2, and in C1cII, where x
+    # was the mark's only leaf child
+    for top, x, paired in levels:
         if paired:
             if mark < x:  # C2b: x goes under the mark, which keeps its leaf count
                 children[mark].add(x)
@@ -253,8 +263,7 @@ def forward_with_case(p: CycleDecomposition) -> tuple[MarkedTree, CaseTag]:
                 mark = x
         children[x].add(top)
         parent[top], children[top] = x, set()
-    image = IncreasingTree._standard(parent[1:])
-    return MarkedTree._trusted(image, mark), _case(tree, mark, n)
+    return mark
 
 
 def forward(p: CycleDecomposition) -> MarkedTree:
@@ -315,8 +324,8 @@ def _restructure(tree: _Draft, j: int, k: int) -> None:
 
 def classify_tree(mt: MarkedTree) -> CaseTag:
     """The construction case that produced marked tree ``mt``, read off
-    where top = n - 1 hangs relative to the mark; the module docstring
-    gives the trace that each case leaves."""
+    where top = n - 1 hangs relative to the mark; ``_classify`` gives the
+    trace that each case leaves."""
     if not mt.tree.is_standard:
         raise DomainError("classification needs ground set 0..n-1")
     return _case(_Draft.of(mt.tree), mt.mark, mt.size)
@@ -332,7 +341,23 @@ def _case(tree: _Draft, m: int, n: int) -> CaseTag:
 def _classify(tree: _Draft, m: int, top: int) -> CaseTag:
     """The one test of the six cases, for mark ``m`` of rank 1 and largest
     label ``top`` on at least three vertices, so ``m`` over top alone is not
-    the root.  Top under ``m`` is a leaf child, so a second one is a leaf sibling."""
+    the root.  Top under ``m`` is a leaf child, so a second one is a leaf sibling.
+
+    ``forward`` records no case; ``_case`` reads it off the finished tree
+    with this test, as ``_peel`` does per level.  With v = parent(top),
+    each case leaves a trace only its branch takes:
+
+    * C1a: top joins a leaf child m had, so m has two leaf children or more.
+    * C1b: v is neither m nor a child of m.
+    * C1cI: v is a child of m.
+    * C1cII: top is the only child of m = v, whose parent, the old mark,
+      has no leaf child left.
+    * C2b: top is the only child of m = j, under a smaller mark that keeps
+      a leaf child besides j.
+    * C2a: m = j holds top and only non-leaves, the path head and the
+      moved path vertices (k or above it), so one leaf child among two or
+      more.
+    """
     parent = tree.parent
     v = parent[top]
     if v == m:
@@ -377,29 +402,51 @@ def _undo_restructure(tree: _Draft, m: int) -> int:
 def inverse(mt: MarkedTree) -> CycleDecomposition:
     """Recover the unique derangement with ``forward(p) == mt``.
 
-    The C1 cases delete top = n - 1 and splice it back into the cycles
-    right after its parent (C1cII: after the mark, re-marking the mark's
-    parent).  C2b deletes top and the mark, re-marks the mark's parent and
-    adds the 2-cycle (mark, top); C2a first undoes the regrouping.
-
-    Each new mark has a leaf child: C1a, C1b and C1cI keep the mark and a
-    leaf child of it other than top; C1cII and C2b re-mark the parent of a
-    leaf; C2a re-marks a vertex found by its leaf child, which the undo
-    leaves in place.  So every level is a valid marked tree, down to size 2.
-    The result is built from its successor map without a check: the map
-    starts as the 2-cycle on the last two labels, and each splice adds only
-    labels it does not hold yet, top and for a 2-cycle the mark deleted at
-    the same level.  So it ends as a derangement of 0..n-1.
+    ``_peel`` takes the tree down to its last edge, marked at its root a,
+    the one vertex of that tree with a leaf child b.  The result is built
+    from its successor map without a check: the map starts as the 2-cycle
+    (a b), and each splice adds only labels it does not hold yet, top and
+    for a 2-cycle the mark deleted at the same level.  So it ends as a
+    derangement of 0..n-1.
     """
     t = mt.tree
     if not t.is_standard:
         raise DomainError("inverse needs ground set 0..n-1")
     tree = _Draft.of(t)
-    parent, children, leaves = tree.parent, tree.children, tree.leaves
-    mark = mt.mark
     # top down: (top, anchor or partner, whether the splice is a 2-cycle)
     splices: list[tuple[int, int, bool]] = []
-    for top in range(t.size - 1, 0, -1):
+    a = _peel(tree, mt.mark, range(t.size - 1, 0, -1), splices)
+    (b,) = tree.children[a]
+    succ = {a: b, b: a}
+    # bottom up
+    for top, x, paired in reversed(splices):
+        if paired:
+            succ[x], succ[top] = top, x
+        else:
+            succ[x], succ[top] = top, succ[x]
+    return CycleDecomposition._from_succ(succ)
+
+
+def _peel(tree: _Draft, mark: int, tops: Iterable[int],
+          splices: list[tuple[int, int, bool]]) -> int:
+    """Peel each of ``tops``, top down, off ``tree`` marked at ``mark``,
+    appending its level of ``_levels`` to ``splices``, and return the new
+    mark.  A label no longer in the tree is skipped, and the peel stops
+    when one edge is left.  Each of ``tops`` must be the largest label
+    present when its turn comes.
+
+    The C1 cases delete top and splice it back into the cycles right after
+    its parent (C1cII: after the mark, re-marking the mark's parent).  C2b
+    deletes top and the mark, re-marks the mark's parent and adds the
+    2-cycle (mark, top); C2a first undoes the regrouping.
+
+    Each new mark has a leaf child: C1a, C1b and C1cI keep the mark and a
+    leaf child of it other than top; C1cII and C2b re-mark the parent of a
+    leaf; C2a re-marks a vertex found by its leaf child, which the undo
+    leaves in place.  So every level is a valid marked tree, down to size 2.
+    """
+    parent, children, leaves = tree.parent, tree.children, tree.leaves
+    for top in tops:
         if children[top] is None:
             continue
         v = parent[top]
@@ -426,12 +473,4 @@ def inverse(mt: MarkedTree) -> CycleDecomposition:
             mark = _undo_restructure(tree, mark)
         else:
             splices.append((top, v, False))
-    a, b = v, top
-    succ = {a: b, b: a}
-    # bottom up
-    for top, x, paired in reversed(splices):
-        if paired:
-            succ[x], succ[top] = top, x
-        else:
-            succ[x], succ[top] = top, succ[x]
-    return CycleDecomposition._from_succ(succ)
+    return mark

@@ -115,13 +115,14 @@ def gen_marked_trees(n: int) -> Iterator[MarkedTree]:
     """Every (tree, rank-1 vertex) pair for size n, each exactly once.
 
     The trees come in the order of ``gen_increasing_trees``, each with its
-    rank-1 vertices from ``_marked_words`` in ascending order; ``MarkedTree``
-    checks each once.
+    rank-1 vertices from ``_marked_words`` in ascending order.  Each is
+    marked through ``MarkedTree._trusted``: ``_marked_words`` lists exactly
+    the parents of the leaves, which are the ints with a leaf child.
     """
     for word, marks in _marked_words(n):
         tree = IncreasingTree._standard(word)
         for v in marks:
-            yield MarkedTree(tree, v)
+            yield MarkedTree._trusted(tree, v)
 
 
 def count_rank_k(n: int, k: int) -> int:
@@ -470,13 +471,25 @@ def _reap(children: list[_Child]) -> None:
     """Close the pipes of ``children``, then wait for each child.  A child
     blocked on writing to a full pipe ends once no process holds its read
     end; a later child holds copies of the earlier children's read ends,
-    so every pipe is closed before the first wait."""
+    so every pipe is closed before the first wait.
+
+    When SIGCHLD is ignored, a setting inherited across ``exec``, the
+    system reaps each child as it ends, and the wait, which still lasts
+    until then, fails with ``ChildProcessError``; no child outlives the
+    call either way.  On Linux that wait is for the one child, so the
+    sizes' children overlap as they do otherwise; where a wait lasts until
+    every child has ended, as POSIX allows, a smaller size's wait would
+    also wait for the last size's children, blocked on their full pipes.
+    """
     for _, child in children:
         if child is not None:
             os.close(child[1])
     for _, child in children:
         if child is not None:
-            os.waitpid(child[0], 0)
+            try:
+                os.waitpid(child[0], 0)
+            except ChildProcessError:  # SIGCHLD is ignored: the system reaped it
+                pass
 
 
 def _usable_cpus() -> int:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import pytest
@@ -210,6 +211,37 @@ def test_draft_matches_its_tree(n):
     # the draft that inverse and classify_tree build, for every tree of size n
     for _, t in _trees_by_parent_choice(n):
         assert_draft_matches(bijection._Draft.of(t), t)
+
+
+def draft_state(tree):
+    """The parent, a copy of the child set and the leaf count of each label
+    in the draft."""
+    return {v: (tree.parent[v], set(c), tree.leaves[v])
+            for v, c in enumerate(tree.children) if c is not None}
+
+
+def test_peel_undoes_each_grown_level():
+    # the inductive step, on the shipped loops: every level that _grow hangs,
+    # _peel takes off again, giving back the level, the mark before it and
+    # the draft before it
+    derangements = 0
+    for n in range(3, 8):
+        for p in gen_derangements(n):
+            levels = bijection._levels(p)
+            b, a, _ = levels.pop()
+            tree, mark = bijection._Draft(n, a, [(b, a)]), a
+            for level in reversed(levels):
+                before = draft_state(tree)
+                grown = bijection._grow(tree, mark, [level])
+                peeled, splices = copy.deepcopy(tree), []
+                assert bijection._peel(peeled, grown, [level[0]], splices) == mark
+                assert splices == [level]
+                assert draft_state(peeled) == before
+                mark = grown
+            word = ",".join(map(str, tree.parent[1:]))
+            assert f"size={n};parents={word};mark={mark}" == forward(p).serialize()
+            derangements += 1
+    assert derangements == 2174
 
 
 def test_inverse_base():

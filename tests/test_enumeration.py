@@ -627,6 +627,33 @@ def test_verify_command_is_clean_in_dev_mode():
     assert json_digest(proc.stdout.decode()) == VERIFY_JSON_SHA256
 
 
+@forking
+def test_verify_runs_with_sigchld_ignored(monkeypatch):
+    # with SIGCHLD ignored, as a process may inherit it across exec, the
+    # system reaps each child, and waiting for it raises ChildProcessError
+    src = os.path.dirname(os.path.dirname(derangetree.enumeration.__file__))
+    script = ("import signal, sys\n"
+              "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+              "import derangetree.enumeration\n"
+              "from derangetree.cli import run\n"
+              "derangetree.enumeration._usable_cpus = lambda: 2\n"
+              "sys.exit(run(['verify', '--max-size', '8', '--json']))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert json_digest(proc.stdout.decode()) == VERIFY_JSON_SHA256
+    one_block, _ = verify_in_blocks(monkeypatch, 8, 1)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with nothing_left_behind():
+            report, forks = verify_in_blocks(monkeypatch, 8, 2)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert forks == 1
+    assert report_without_time(report) == report_without_time(one_block)
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in this process if the block runs past ``seconds``."""

@@ -1,7 +1,9 @@
 """Every name a library module imports is used in that module, every
 private module-level name (``_x``) is read somewhere in the package, only
-``trees.py`` touches how an ``IncreasingTree`` stores itself, and every
-module parses as the oldest Python that ``pyproject.toml`` admits, 3.10.
+``trees.py`` touches how an ``IncreasingTree`` stores itself, only the
+draft's constructor and the two level loops of ``bijection.py`` change
+its leaf counts, and every module parses as the oldest Python that
+``pyproject.toml`` admits, 3.10.
 
 ``__init__.py`` is left out of the import check: it imports names to
 re-export them.
@@ -66,6 +68,35 @@ def layout_reads(source: str) -> list[str]:
             for node in sorted(uses, key=lambda node: (node.lineno, node.col_offset))]
 
 
+def leaf_count_writers(source: str) -> list[str]:
+    """The functions in ``source``, by qualified name, that store into a
+    leaf count: ``leaves[...]`` or ``<x>.leaves[...]`` as the target of an
+    assignment or an augmented assignment such as ``+=``.  ``<module>``
+    stands for a store outside any function."""
+    writers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            else:
+                targets = []
+            if any(isinstance(t, ast.Subscript) and (
+                       isinstance(t.value, ast.Name) and t.value.id == "leaves"
+                       or isinstance(t.value, ast.Attribute) and t.value.attr == "leaves")
+                   for target in targets for t in ast.walk(target)):
+                writers.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(writers)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"bijection.py", "enumeration.py", "trees.py"}
 
@@ -113,6 +144,30 @@ def test_layout_read_is_caught():
               "def word(tree): return [tree._parent[v] for v in tree.labels[1:]]\n"
               "def nested(mt): return mt.tree._labels\n")
     assert layout_reads(source) == ["3: t._children", "4: tree._parent", "5: mt.tree._labels"]
+
+
+def test_leaf_counts_change_only_in_the_draft_and_the_level_loops():
+    # forward_with_case, inverse and any later walk run the levels through
+    # _grow and _peel, not through a copy of their bodies
+    source = (PACKAGE / "bijection.py").read_text()
+    assert leaf_count_writers(source) == ["_Draft.__init__", "_grow", "_peel"]
+
+
+def test_leaf_count_write_is_caught():
+    source = ("class _Draft:\n"
+              "    def __init__(self, n):\n"
+              "        self.leaves = [0] * n\n"
+              "def forward(tree, x):\n"
+              "    leaves = tree.leaves\n"
+              "    leaves[x] += 1\n"
+              "def inverse(tree, x):\n"
+              "    def step(y):\n"
+              "        tree.parent[y], tree.leaves[y] = x, 0\n"
+              "    return tree.leaves[x] > 0\n"
+              "LEAVES = {}\n"
+              "LEAVES[0] = leaves = [1]\n"
+              "leaves[0] -= 1\n")
+    assert leaf_count_writers(source) == ["<module>", "forward", "inverse.step"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
