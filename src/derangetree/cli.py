@@ -22,7 +22,6 @@ from .bijection import CaseTag, forward, inverse
 from .cycles import parse_cycles
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
-    _verify_sizes,
     case_counts,
     check_verification_size,
     gen_derangements,
@@ -30,6 +29,7 @@ from .enumeration import (
     gen_marked_trees,
     rank_count_table,
     recurrence_check,
+    verify_bijection,
 )
 from .errors import DomainError, FormatError, InternalInvariantError, VerificationLimitError
 from .render import to_dot
@@ -103,7 +103,7 @@ def _cmd_verify(args) -> int:
     if args.max_size < 2:
         raise DomainError("--max-size must be at least 2")
     check_verification_size(args.max_size, args.size_limit)
-    reports = _verify_sizes(range(2, args.max_size + 1))
+    reports = [verify_bijection(m, args.size_limit) for m in range(2, args.max_size + 1)]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

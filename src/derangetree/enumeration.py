@@ -1,17 +1,16 @@
-"""Exhaustive generators, exact rank counts and brute-force verification.
+"""Exhaustive generators, exact rank counts and verification.
 
 The generators enumerate: trees by choosing each vertex's parent among
 the smaller labels, derangements by dropping the permutations with a
 fixed point from the lexicographic stream of permutations, marked trees
 by marking each vertex with a leaf child (the rank-1 vertices).
-``verify_bijection`` checks the bijection for one size in a single pass
-over the derangements plus a coverage scan of the marked trees, and
-refuses sizes past a hard ceiling instead of degrading.
-From n = 7 up it splits the pass into blocks by the value p(0) and checks
-all but one of them in forked child processes, one per usable CPU; the
-report is the same as from one block.  One function, ``_verify_sizes``,
-owns that schedule, for one size or for the sizes 2..M of the ``verify``
-command, and reaps every child it forks in one ``finally``.
+``verify_bijection`` checks the bijection for one size, in this process,
+and refuses sizes past a hard ceiling instead of degrading.  Below
+``_WALK_MIN_SIZE`` it is a brute force over the public ``forward_with_case``
+and ``inverse``: one pass over the derangements plus a coverage scan of
+the marked trees.  From there up it walks the derangement recurrence,
+growing each derangement's image from a smaller one's by one level of
+the shipped ``_grow`` and undoing it by ``_peel``.
 ``case_counts`` classifies every derangement of one size.  The rank tables
 (``count_rank_k``, ``rank_count_table``, ``recurrence_check``) enumerate
 nothing: they count exactly, in integers, from a recurrence on the rank
@@ -21,23 +20,31 @@ of a tree's root, so they reach sizes in the hundreds.
 from __future__ import annotations
 
 import itertools
-import marshal
 import operator
-import os
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .bijection import CaseTag, classify_derangement, forward_with_case, inverse
+from .bijection import (
+    CaseTag,
+    _case,
+    _Draft,
+    _grow,
+    _peel,
+    classify_derangement,
+    forward_with_case,
+    inverse,
+)
 from .cycles import CycleDecomposition
-from .errors import DomainError, VerificationLimitError
+from .errors import DomainError, InternalInvariantError, VerificationLimitError
 from .trees import IncreasingTree, MarkedTree
 
 DEFAULT_SIZE_LIMIT = 8
 HARD_SIZE_LIMIT = 9
+
+_Level = tuple[int, int, bool]  # a level of ``bijection._levels``: (top, x, paired)
 
 
 def gen_increasing_trees(n: int) -> Iterator[IncreasingTree]:
@@ -77,32 +84,16 @@ def gen_derangements(n: int) -> Iterator[CycleDecomposition]:
     """All derangements of {0, ..., n-1} in canonical cycle form.
 
     The one-line words come in lexicographic order: the permutations of
-    0..n-1 in that order, without the ones that have a fixed point (see
-    ``_derangements``).  p(0) = 0 is a fixed point, so the words start
-    with 1..n-1.  Empty for n = 1.
+    0..n-1 in that order, without the ones that have a fixed point.
+    p(0) = 0 is a fixed point, so for each first value x in 1..n-1,
+    ``itertools.permutations`` of the other values in ascending order gives
+    the rest of the word in lexicographic order, and the filter keeps that
+    order.  Each word holds each of 0..n-1 once, so the permutation is
+    built from it without ``from_word``'s check.  Empty for n = 1.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    return _derangements(n, range(1, n))
-
-
-def _derangements(n: int, firsts: Iterable[int]) -> Iterator[CycleDecomposition]:
-    """The derangements of ``gen_derangements(n)`` whose one-line word
-    starts with a value x in ``firsts``, each in 1..n-1, in the order of
-    ``firsts`` and lexicographic after that.
-
-    For each x, ``itertools.permutations`` of the other values in
-    ascending order gives the rest of the word in lexicographic order, and
-    the filter drops the words with a fixed point and keeps that order.
-    So the stream for x is one contiguous run of the full stream, and the
-    runs for consecutive ranges of values follow one another.  For n >= 2
-    every run for one value x holds D(n)/(n-1) derangements: conjugating
-    by the transposition (x y) fixes 0, keeps a permutation fixed-point
-    free and maps p(0) = x to p(0) = y, so it is a bijection between the
-    runs of x and y.  Each word holds each of 0..n-1 once, so the
-    permutation is built from it without ``from_word``'s check.
-    """
-    for x in firsts:
+    for x in range(1, n):
         others = [v for v in range(n) if v != x]
         for rest in itertools.permutations(others):
             if all(map(operator.ne, rest, range(1, n))):
@@ -307,38 +298,57 @@ def _text(key: tuple[int, ...] | str) -> str:
 
 
 def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> VerificationReport:
-    """Exhaustively check the bijection at size n.
+    """Exhaustively check the bijection at size n, in this process.
 
-    One pass maps every derangement p forward and checks that the images
-    are distinct and that ``inverse(forward(p)) == p``; a scan of the
-    marked trees then checks that each is an image, and the two counts are
-    compared.  That is enough, and it rests on these checks alone, not on
-    any constructor: ``forward`` builds its images without re-validating
-    them.  Images are compared by their keys (``_key``): on 0..n-1 the
-    parent word and the mark, which are the whole marked tree.  The image
-    keys are distinct, one per derangement, and the scan finds among them
-    the key of each of the marked trees of size n, which are as many as the
-    derangements.  So the image keys are exactly the keys of the marked
-    trees of size n.  An image's state is derived from its parent word
-    alone, so each image is the marked tree its key names, and ``forward``
-    is a bijection onto the marked trees.  ``inverse∘forward = id`` then
-    makes ``inverse`` its two-sided inverse: every marked tree is some
+    Below ``_WALK_MIN_SIZE`` the check is a brute force over the public
+    functions (``_brute_force``): every derangement p is mapped forward,
+    its image keyed (``_key``) and mapped back, and a scan of the marked
+    trees checks that each is an image.  The image keys are distinct, one
+    per derangement, and they include the key of each of the marked trees
+    of size n, which are as many as the derangements.  So the image keys
+    are exactly the keys of the marked trees.  A key, on 0..n-1 the parent
+    word and the mark, is the whole marked tree, and an image's state is
+    derived from its parent word alone, so each image is the marked tree
+    its key names, and ``forward`` is a bijection onto the marked trees.
+    None of this relies on a constructor: ``forward`` builds its images
+    without re-validating them.  ``inverse∘forward = id`` then makes
+    ``inverse`` its two-sided inverse: every marked tree is some
     ``forward(p)``, and ``inverse``, being deterministic, sends it to p, so
     ``forward(inverse(mt)) = mt`` needs no second pass.
 
-    The pass runs in blocks of derangements split by the value p(0): from
-    n = 7 up, on a POSIX system with more than one usable CPU and no other
-    thread running, each block but the first is checked in a forked child
-    process while this process checks the first.  The blocks' image keys,
-    case tallies and failure texts are then merged in derangement order,
-    so the report is the one a single block gives, and repeated images are
-    found across blocks.  ``_verify_sizes`` does all of it, and it reaps
-    every child it forked before it returns or raises.
+    From ``_WALK_MIN_SIZE`` up the check is ``_walk``, along the
+    derangement recurrence, through the level steps ``_grow`` and
+    ``_peel`` that ``forward`` and ``inverse`` run:
 
-    The scan walks parent words and builds no tree, ``image`` keeps each
-    derangement's index, not the derangement, and text is made only for a
-    failure; the first repeated image re-enumerates the derangements once,
-    to name the earlier ones.
+    * Each node is ``forward(p)`` of its derangement p.  ``forward`` peels
+      p's levels top down and grows them back from the base pair with
+      ``_grow``; the walk grows the same levels from (0 1).  A C1 node
+      grows p's top level on its parent's draft.  A C2 node grows it on a
+      copy of its parent's draft with the labels from j up shifted by one,
+      which is ``forward``'s draft of p before that level: ``_grow`` and
+      ``_restructure`` only compare labels, so on the shifted labels they
+      make the same moves.  By induction on n, the two drafts agree.
+    * A node's draft is a function of its marked tree.  The walk takes
+      this from ``_Draft``'s invariant, that the child sets and leaf
+      counts are those of the parent word, which its constructor,
+      ``_grow`` and ``_peel`` keep; deriving them again at each node of
+      size n would take about 70% more time at n = 9.
+    * ``forward`` is injective.  At every node ``_peel``, a function of the
+      draft and the mark, gives back the level and the parent's draft and
+      mark, shifted back for C2.  So two nodes of one size with one image
+      have the same top level and, by induction, the same parent: they are
+      the same derangement.
+    * Each image is a marked tree of size n: every edit keeps parents
+      below children (see ``_Draft``), and the walk reads a leaf child of
+      the mark off the child sets.  There are ``count_rank_k(n, 1)``
+      marked trees, counted without enumerating them, and as many nodes of
+      size n, so by pigeonhole ``forward`` is a bijection, and ``_peel``
+      inverts it.
+
+    The walk does not run ``_check_derangement``, the ``_levels`` scan or
+    ``inverse``'s assembly of the successor map.  The brute force checks
+    them end to end at 2..7, and ``tests/test_large.py`` by round trips
+    at large n.
 
     Any exception raised along the way is recorded as a failure rather
     than aborting the run.  Sizes above ``min(size_limit,
@@ -347,222 +357,186 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     if n < 2:
         raise DomainError("n must be at least 2")
     check_verification_size(n, size_limit)
-    return _verify_sizes(range(n, n + 1))[0]
+    start = time.perf_counter()
+    histogram: Counter[CaseTag] = Counter()
+    if n < _WALK_MIN_SIZE:
+        derangement_count, marked_count, failures = _brute_force(n, histogram)
+    else:
+        def tally(levels: list[_Level], tree: _Draft, mark: int) -> None:
+            histogram[_case(tree, mark, n)] += 1
+
+        derangement_count, failures = _walk(n, tally)
+        marked_count = count_rank_k(n, 1)
+    if derangement_count != marked_count:
+        failures.append(
+            f"count mismatch: {derangement_count} derangements vs {marked_count} marked trees")
+    return VerificationReport(
+        n=n,
+        derangement_count=derangement_count,
+        marked_tree_count=marked_count,
+        round_trip_failures=failures,
+        case_histogram=dict(histogram),
+        elapsed_seconds=time.perf_counter() - start,
+    )
 
 
-def _verify_sizes(sizes: range) -> list[VerificationReport]:
-    """The reports of ``verify_bijection(m)`` for m in ``sizes``, which the
-    caller has checked against the ceiling, in order.
+# The walk checks the sizes from 8 up: at 8 it takes 0.11 s of CPU, the
+# brute force 0.50 s.  The brute force takes 0.05-0.06 s for all of 2..7
+# and is the one check of the public functions end to end, so it keeps the
+# sizes below (best of 5, 2-core machine, Python 3.11.7).
+_WALK_MIN_SIZE = 8
 
-    The one owner of the child processes: the last size's children are
-    forked first, and they run while this process verifies the smaller
-    sizes through ``verify_bijection``, each of which forks and reaps its
-    own, so at most two sizes have children at once.  Then this process
-    checks its own block of the last size, timing that size's report from
-    the start of the block, and merges the children's results in order;
-    a block whose child could not be forked or did not send its whole
-    result is checked here instead, so the outcome, or the exception, is
-    the one-block one.  The coverage scan comes last.  Whatever raises,
-    the ``finally`` reaps every child forked here.
+
+def _brute_force(n: int, histogram: Counter[CaseTag]) -> tuple[int, int, list[str]]:
+    """Map forward, key and map back every derangement of size n, tallying
+    the cases into ``histogram``, then scan the marked trees; return the
+    two counts and the failures, in derangement order, then scan order.
+
+    ``image`` keeps each key's derangement number, not the derangement;
+    the first repeated image re-enumerates the derangements once, to name
+    the earlier one.  The scan walks parent words and builds no tree, and
+    text is made only for a failure.
     """
-    n = sizes[-1]
-    children: list[_Child] = []
-    try:
-        first = _start_blocks(n, children)
-        reports = [verify_bijection(m) for m in sizes[:-1]]
-        start = time.perf_counter()
-        failures: list[str] = []
-        histogram: Counter[CaseTag] = Counter()
-        image: dict[tuple[int, ...] | str, int] = {}
-        derangements: list[CycleDecomposition] | None = None  # built on the first repeat
-        derangement_count = 0
-        for firsts, child in [(first, None), *children]:
-            block = None if child is None else _collect(child[1])
-            keys, tags, texts = block or _check_block(n, firsts)
-            histogram.update({CaseTag(value): count for value, count in tags.items()})
-            for i, key in enumerate(keys):
-                index = derangement_count + i
-                if key is not None and image.setdefault(key, index) != index:
-                    if derangements is None:
-                        derangements = list(gen_derangements(n))
-                    failures.append(f"{derangements[index].serialize()} and"
-                                    f" {derangements[image[key]].serialize()}"
-                                    f" map to the same tree {_text(key)}")
-                if i in texts:
-                    failures.append(texts[i])
-            derangement_count += len(keys)
-        marked_count = 0
-        for word, marks in _marked_words(n):
-            for v in marks:
-                marked_count += 1
-                if (*word, v) not in image:
-                    failures.append(f"{_text((*word, v))} is not the image of any derangement")
-        if derangement_count != marked_count:
-            failures.append(
-                f"count mismatch: {derangement_count} derangements vs {marked_count} marked trees")
-        reports.append(VerificationReport(
-            n=n,
-            derangement_count=derangement_count,
-            marked_tree_count=marked_count,
-            round_trip_failures=failures,
-            case_histogram=dict(histogram),
-            elapsed_seconds=time.perf_counter() - start,
-        ))
-        return reports
-    finally:
-        _reap(children)
-
-
-_Block = tuple[list, dict[str, int], dict[int, str]]
-
-
-def _check_block(n: int, firsts: range) -> _Block:
-    """Map forward, key and map back the derangements of size n with p(0)
-    in ``firsts``.
-
-    Returns, in the order of ``_derangements(n, firsts)``: the image key of
-    each derangement (None where ``forward`` or ``_key`` raised), the count
-    of each case tag's value, and the failure text of each derangement
-    that has one, by its index in the block.  Only builtin types, so that
-    ``marshal`` can carry the result out of a child process.
-    """
-    keys: list[tuple[int, ...] | str | None] = []
-    tags: dict[str, int] = {}
-    texts: dict[int, str] = {}
-    for i, p in enumerate(_derangements(n, firsts)):
-        key = None
+    failures: list[str] = []
+    image: dict[tuple[int, ...] | str, int] = {}
+    derangements: list[CycleDecomposition] | None = None  # built on the first repeat
+    count = 0
+    for count, p in enumerate(gen_derangements(n), 1):
+        key = text = None
         try:
             mt, tag = forward_with_case(p)
-            tags[tag.value] = tags.get(tag.value, 0) + 1
+            histogram[tag] += 1
             key = _key(mt)
             back = inverse(mt)
             if back != p:
-                texts[i] = f"inverse(forward({p.serialize()})) = {back.serialize()}"
+                text = f"inverse(forward({p.serialize()})) = {back.serialize()}"
         except Exception as exc:  # record, never abort mid-verification
-            texts[i] = f"{p.serialize()}: {type(exc).__name__}: {exc}"
-        keys.append(key)
-    return keys, tags, texts
+            text = f"{p.serialize()}: {type(exc).__name__}: {exc}"
+        if key is not None and image.setdefault(key, count) != count:
+            if derangements is None:
+                derangements = list(gen_derangements(n))
+            failures.append(f"{p.serialize()} and {derangements[image[key] - 1].serialize()}"
+                            f" map to the same tree {_text(key)}")
+        if text:
+            failures.append(text)
+    marked_count = 0
+    for word, marks in _marked_words(n):
+        for v in marks:
+            marked_count += 1
+            if (*word, v) not in image:
+                failures.append(f"{_text((*word, v))} is not the image of any derangement")
+    return count, marked_count, failures
 
 
-_FORK_MIN_SIZE = 7  # below this, one fork costs about what it saves
-_Child = tuple[range, tuple[int, int] | None]  # a block, and _fork_check's result for it
+def _walk(n: int, visit: Callable[[list[_Level], _Draft, int], None]) -> tuple[int, list[str]]:
+    """Walk the derangements of sizes 2..n depth first, each grown from a
+    smaller one by one level, and call ``visit(levels, tree, mark)`` at
+    each of size n; return their number and the failures.
 
+    ``levels`` holds the levels from (0 1) to the node (``_derangement``
+    rebuilds its derangement), and ``tree``, marked at ``mark``, is the
+    node's draft, on loan until ``visit`` returns.  A node of size m < n
+    has m C1 children, and m + 1 C2 children when m + 2 <= n:
 
-def _start_blocks(n: int, children: list[_Child]) -> range:
-    """Fork a child for each block of ``_blocks(n, parts)`` but the first,
-    appending it to ``children`` for the caller to reap, and return the
-    first block, the one this process checks.
+    * C1, top = m spliced into a cycle after x, for x in 0..m-1: the level
+      ``(m, x, False)`` is grown on the node's own draft and peeled off
+      after the child's subtree;
+    * C2, the 2-cycle (j, m + 1) added, for j in 0..m: the level
+      ``(m + 1, j, True)`` is grown on a copy of the node's draft with the
+      labels from j up shifted by one.
 
-    From n = 7 up there are min(usable CPUs, n - 1) parts when ``os.fork``
-    exists and no other thread runs, since forking with threads is
-    unsafe; else one.  The first block is the smallest, since this process
-    merges too.
+    D(m + 2) = (m + 1)(D(m + 1) + D(m)) counts them, and each derangement
+    is one node: its top level and the derangement left without it are
+    the level and the parent.  At each child the walk checks that the
+    mark has a leaf child, and after the peel that ``_peel`` gave back the
+    level and the parent's mark and left the parent's parent, child set
+    and leaf count on each of its labels.  A check that fails or an
+    exception is recorded against the child's derangement, and the walk
+    goes on with the next sibling on a draft rebuilt from the parent's.
+    The walk changes a draft only through ``_Draft``, ``_grow`` and
+    ``_peel``.
     """
-    parts = 1
-    if n >= _FORK_MIN_SIZE and hasattr(os, "fork") and threading.active_count() == 1:
-        parts = min(_usable_cpus(), n - 1)
-    first, *rest = _blocks(n, parts)
-    for firsts in rest:
-        children.append((firsts, _fork_check(n, firsts)))
-    return first
+    failures: list[str] = []
+    levels: list[_Level] = []
+    count = 0
 
-
-def _reap(children: list[_Child]) -> None:
-    """Close the pipes of ``children``, then wait for each child.  A child
-    blocked on writing to a full pipe ends once no process holds its read
-    end; a later child holds copies of the earlier children's read ends,
-    so every pipe is closed before the first wait.
-
-    When SIGCHLD is ignored, a setting inherited across ``exec``, the
-    system reaps each child as it ends, and the wait, which still lasts
-    until then, fails with ``ChildProcessError``; no child outlives the
-    call either way.  On Linux that wait is for the one child, so the
-    sizes' children overlap as they do otherwise; where a wait lasts until
-    every child has ended, as POSIX allows, a smaller size's wait would
-    also wait for the last size's children, blocked on their full pipes.
-    """
-    for _, child in children:
-        if child is not None:
-            os.close(child[1])
-    for _, child in children:
-        if child is not None:
+    def node(tree: _Draft, mark: int, m: int) -> _Draft:
+        """Walk below the node of size m that ``tree``, marked at ``mark``,
+        holds; return the draft that holds it afterwards, a rebuilt one
+        after a failure."""
+        state = _state(tree, range(m))
+        pairs = range(m + 1 if m + 2 <= n else 0)
+        for level in [*((m, x, False) for x in range(m)), *((m + 1, j, True) for j in pairs)]:
+            levels.append(level)
             try:
-                os.waitpid(child[0], 0)
-            except ChildProcessError:  # SIGCHLD is ignored: the system reaped it
-                pass
+                tree = child(tree, mark, m, level, state)
+            except Exception as exc:  # record, never abort mid-verification
+                failures.append(f"{_derangement(levels).serialize()}: {type(exc).__name__}: {exc}")
+                tree = _Draft(n, 0, enumerate(state[0][1:], 1))
+            levels.pop()
+        return tree
+
+    def child(tree: _Draft, mark: int, m: int, level: _Level, state: tuple) -> _Draft:
+        """Grow ``level`` on the node of size m that ``tree`` holds, whose
+        ``_state`` on 0..m-1 is ``state``, walk below the child, peel the
+        level off and check; return the draft that holds the node."""
+        nonlocal count
+        top, x, paired = level
+        if top + 1 == n:
+            count += 1
+        draft, old, labels = tree, mark, range(m)
+        if paired:
+            def up(v: int) -> int:
+                return v + (v >= x)
+
+            draft = _Draft(n, up(0), ((up(v), up(u)) for v, u in enumerate(state[0][1:], 1)))
+            old, labels = up(mark), [*range(x), *range(x + 1, m + 1)]
+            state = _state(draft, labels)
+        new = _grow(draft, old, [level])
+        children = draft.children
+        if all(children[c] for c in children[new]):
+            raise InternalInvariantError(f"mark {new} has no leaf child")
+        if top + 1 == n:
+            visit(levels, draft, new)
+        else:
+            draft = node(draft, new, top + 1)
+        splices: list[_Level] = []
+        back = _peel(draft, new, [top], splices)
+        if splices != [level] or back != old:
+            raise InternalInvariantError(
+                f"peeling {top} gave {splices} and mark {back}, not {[level]} and mark {old}")
+        if _state(draft, labels) != state:
+            raise InternalInvariantError(f"peeling {top} did not restore the tree")
+        return tree if paired else draft
+
+    root = _Draft(n, 0, [(1, 0)])
+    if n == 2:
+        count = 1
+        visit(levels, root, 0)
+    else:
+        node(root, 0, 2)
+    return count, failures
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this system
-        return os.cpu_count() or 1
+def _state(tree: _Draft, labels: Iterable[int]) -> tuple[tuple, tuple, tuple]:
+    """The parents, copies of the child sets and the leaf counts of
+    ``labels``, at least two, in ``tree``."""
+    get = operator.itemgetter(*labels)
+    return get(tree.parent), tuple(map(set, get(tree.children))), get(tree.leaves)
 
 
-def _blocks(n: int, parts: int) -> list[range]:
-    """1..n-1, the values of p(0), split into ``parts`` consecutive
-    ranges whose sizes differ by at most one, the smaller ones first."""
-    size, extra = divmod(n - 1, parts)
-    blocks, lo = [], 1
-    for b in range(parts):
-        hi = lo + size + (b >= parts - extra)
-        blocks.append(range(lo, hi))
-        lo = hi
-    return blocks
-
-
-def _fork_check(n: int, firsts: range) -> tuple[int, int] | None:
-    """Fork a child that checks one block and writes the marshalled result
-    to a pipe, after its length in 8 bytes; return the child's pid and the
-    pipe's read end, or None when no pipe could be made or no process
-    forked, so that the block is checked here.
-
-    The child leaves by ``os._exit`` whatever happens, so it never returns
-    into the caller's stack and never flushes the stdio buffers it
-    inherited.  Forking by hand, not through ``multiprocessing`` or
-    ``concurrent.futures``, keeps their imports out of the peak RSS:
-    importing ``multiprocessing.connection`` adds 1.2 MB and
-    ``concurrent.futures.process`` 2.0 MB (Python 3.11.7), against the
-    ~23 MB of ``verify --max-size 8``.
-    """
-    try:
-        read, write = os.pipe()
-    except OSError:  # out of descriptors
-        return None
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            data = marshal.dumps(_check_block(n, firsts))
-            with open(write, "wb") as pipe:
-                pipe.write(len(data).to_bytes(8, "little"))
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _collect(fd: int) -> _Block | None:
-    """The result a child of ``_fork_check`` wrote to the pipe ``fd``, or
-    None unless all of it arrived, which it does only once the child has
-    checked its whole block.  The pipe stays open, for ``_reap`` to close.
-
-    The length comes first, so the result is read into one buffer of its
-    own size, not into one grown as it arrives.
-    """
-    with open(fd, "rb", closefd=False) as pipe:
-        size = int.from_bytes(pipe.read(8), "little")
-        data = pipe.read(size)
-    return marshal.loads(data) if data and len(data) == size else None
+def _derangement(levels: list[_Level]) -> CycleDecomposition:
+    """The derangement that ``_walk`` reaches from (0 1) along ``levels``:
+    C1 splices top into a cycle after x, C2 shifts the labels from j up by
+    one and adds the 2-cycle (j, top)."""
+    succ = {0: 1, 1: 0}
+    for top, x, paired in levels:
+        if paired:
+            succ = {u + (u >= x): v + (v >= x) for u, v in succ.items()}
+            succ[x], succ[top] = top, x
+        else:
+            succ[x], succ[top] = top, succ[x]
+    return CycleDecomposition._from_succ(succ)
 
 
 @dataclass(frozen=True)
@@ -612,6 +586,12 @@ class CaseCountReport:
 
 
 def case_counts(n: int) -> CaseCountReport:
+    """The construction case of every derangement of size n, n >= 4,
+    tallied, with ``top_attached_to_mark`` (see ``CaseCountReport``).
+
+    Each derangement goes through ``classify_derangement``, the whole
+    ``forward`` construction, so the cost grows as D(n).
+    """
     if n < 4:
         raise DomainError("case analysis needs n >= 4")
     histogram: Counter[CaseTag] = Counter()

@@ -4,9 +4,9 @@ workload, as part of this suite.
 ``bench/test_bench.py`` checks that every output check of the benchmark
 accepts the program's real output.  Running it here means a source change
 that breaks one of those checks fails this suite, not only a later
-benchmark run.  The ``verify`` run, traced and untraced, catches forked
-children that write into the benchmark's captured stdout or upset its
-tracer.
+benchmark run.  The ``verify`` run, traced and untraced, catches a
+verification that writes into the benchmark's captured stdout or upsets
+its tracer.
 """
 
 import json

@@ -1,19 +1,15 @@
-import contextlib
-import errno
 import gc
 import hashlib
-import io
-import itertools
 import json
 import os
-import signal
 import subprocess
 import sys
-import threading
 import time
+from collections import Counter
 
 import pytest
 
+import derangetree.bijection
 import derangetree.enumeration
 from derangetree import (
     CaseTag,
@@ -34,8 +30,9 @@ from derangetree import (
     recurrence_check,
     verify_bijection,
 )
+from derangetree.bijection import _case, _grow, _peel
 from derangetree.cli import run
-from derangetree.enumeration import _blocks, _derangements, _key, _marked_words
+from derangetree.enumeration import _derangement, _key, _marked_words, _walk
 from util import (
     assert_matches_validated,
     brute_rank_count,
@@ -89,38 +86,6 @@ def test_derangements_match_filtered_permutations():
 def test_gen_derangements_rejects_zero():
     with pytest.raises(DomainError, match="n must be at least 1"):
         next(gen_derangements(0))
-
-
-def consecutive_partitions(n):
-    """Every partition of 1..n-1 into ranges of consecutive values, in order."""
-    for k in range(n - 1):
-        for cuts in itertools.combinations(range(2, n), k):
-            bounds = [1, *cuts, n]
-            yield [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def test_blocks_by_first_value_are_runs_of_the_stream():
-    for n in range(2, 9):
-        words = fixed_point_free_words(n)
-        stream = list(gen_derangements(n))
-        for x in range(1, n):
-            run_of_x = [tuple(p.image(i) for i in range(n)) for p in _derangements(n, [x])]
-            assert run_of_x == [w for w in words if w[0] == x]
-            assert len(run_of_x) == subfactorial(n) // (n - 1)
-        # every partition up to n = 7; at n = 8 the ones verify_bijection uses
-        partitions = (consecutive_partitions(n) if n <= 7
-                      else (_blocks(n, parts) for parts in range(1, n)))
-        for blocks in partitions:
-            assert [p for block in blocks for p in _derangements(n, block)] == stream, blocks
-
-
-def test_verification_blocks_split_the_first_values_evenly():
-    for n in range(2, 10):
-        for parts in range(1, n):
-            blocks = _blocks(n, parts)
-            assert [x for block in blocks for x in block] == list(range(1, n))
-            sizes = [len(block) for block in blocks]
-            assert len(sizes) == parts and sizes == sorted(sizes) and sizes[-1] - sizes[0] <= 1
 
 
 def test_derangements_are_derangements():
@@ -312,84 +277,9 @@ def test_verify_records_injected_fault(fault, monkeypatch, capsys):
     assert "FAIL" in out
 
 
-forking = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-def open_descriptors():
-    """The number of descriptors this process has open, or None without /proc."""
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-@contextlib.contextmanager
-def nothing_left_behind():
-    """Assert that the block leaves no child unreaped and no descriptor open."""
-    before = open_descriptors()
-    yield
-    with pytest.raises(ChildProcessError):  # every child has been reaped
-        os.waitpid(-1, os.WNOHANG)
-    assert open_descriptors() == before
-
-
-def verify_in_blocks(monkeypatch, n, cpus):
-    """verify_bijection(n) as if ``cpus`` CPUs were usable, and the number
-    of children it forked."""
-    forks = []
-    real_fork = os.fork
-
-    def counted_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    try:
-        return verify_bijection(n), len(forks)
-    finally:
-        monkeypatch.setattr(os, "fork", real_fork)
-
-
-def report_without_time(report):
-    data = report.to_dict()
-    del data["elapsed_seconds"]
-    return data
-
-
-# The FAULTS table at n = 7, with the faulty derangements in the last block
-# (p(0) = 6), plus a last-block derangement sent to the image of a
-# derangement in the first block.
-FORKED_N = 7
-FORKED_STREAM = list(gen_derangements(FORKED_N))
-FORKED_FAULTS = fault_table(*[p for p in FORKED_STREAM if p.image(0) == FORKED_N - 1][:2],
-                            next(gen_derangements(FORKED_N - 1)))
-FORKED_FAULTS["two blocks, one image"] = (
-    "forward_with_case",
-    lambda p: forward_with_case(FORKED_STREAM[0] if p == FORKED_STREAM[-1] else p),
-    [f"{FORKED_STREAM[-1].serialize()} and {FORKED_STREAM[0].serialize()} map to the same tree"
-     f" {forward_with_case(FORKED_STREAM[0])[0].serialize()}",
-     "is not the image of any derangement"])
-
-
-@forking
-@pytest.mark.parametrize("fault", sorted(FORKED_FAULTS))
-def test_forked_verify_records_injected_fault(fault, monkeypatch):
-    name, broken, expected = FORKED_FAULTS[fault]
-    monkeypatch.setattr(derangetree.enumeration, name, broken)
-    one_block, forks = verify_in_blocks(monkeypatch, FORKED_N, 1)
-    assert forks == 0
-    for cpus in (2, 3):
-        report, forks = verify_in_blocks(monkeypatch, FORKED_N, cpus)
-        assert forks == cpus - 1
-        assert report.round_trip_failures == one_block.round_trip_failures
-        assert report_without_time(report) == report_without_time(one_block)
-    for text in expected:
-        assert any(text in f for f in report.round_trip_failures), (text, report.round_trip_failures)
-
-
 def test_failures_come_in_derangement_order(monkeypatch):
-    # in the last block: x raises, then z maps to the image of y
-    x, y, z = [p for p in FORKED_STREAM if p.image(0) == FORKED_N - 1][:3]
+    # x raises, then z maps to the image of y
+    x, y, z = [p for p in gen_derangements(7) if p.image(0) == 6][:3]
 
     def broken(p):
         if p == x:
@@ -401,122 +291,9 @@ def test_failures_come_in_derangement_order(monkeypatch):
                 f"{z.serialize()} and {y.serialize()} map to the same tree"
                 f" {forward_with_case(y)[0].serialize()}",
                 f"inverse(forward({z.serialize()})) = {y.serialize()}"]
-    for cpus in (1, 2):
-        failures = verify_in_blocks(monkeypatch, FORKED_N, cpus)[0].round_trip_failures
-        assert failures[:3] == expected
-        assert len(failures) == 5 and all("is not the image" in f for f in failures[3:])
-
-
-@forking
-@pytest.mark.parametrize("n", [7, 8])
-def test_forked_report_equals_the_one_block_report(n, monkeypatch):
-    one_block, _ = verify_in_blocks(monkeypatch, n, 1)
-    assert one_block.ok
-    for cpus in (2, 3, 16):
-        with nothing_left_behind():
-            report, forks = verify_in_blocks(monkeypatch, n, cpus)
-        assert forks == min(cpus, n - 1) - 1
-        assert report_without_time(report) == report_without_time(one_block)
-
-
-@forking
-def test_blocks_that_cannot_fork_are_checked_here(monkeypatch):
-    expected = report_without_time(verify_bijection(7))
-    real_fork = os.fork
-    calls = []
-
-    def fork_once():
-        calls.append(None)
-        if len(calls) > 1:
-            raise BlockingIOError("no more processes")
-        return real_fork()
-
-    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(os, "fork", fork_once)
-    with nothing_left_behind():
-        report = verify_bijection(7)
-    monkeypatch.setattr(os, "fork", real_fork)
-    assert len(calls) == 2
-    assert report_without_time(report) == expected
-
-
-@forking
-def test_blocks_without_a_pipe_are_checked_here(monkeypatch):
-    expected = report_without_time(verify_bijection(8))
-
-    def no_pipe():
-        raise OSError(errno.EMFILE, "Too many open files")
-
-    monkeypatch.setattr(os, "pipe", no_pipe)
-    with nothing_left_behind():
-        report, forks = verify_in_blocks(monkeypatch, 8, 2)
-        code, out, _, _ = verify_command(monkeypatch, 3)
-    assert forks == 0
-    assert report_without_time(report) == expected
-    assert code == 0 and json_digest(out) == VERIFY_JSON_SHA256
-
-
-@forking
-def test_no_child_outlives_a_verification_that_raises(monkeypatch):
-    parent = os.getpid()
-
-    def interrupted_here(p):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return forward_with_case(p)
-
-    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", interrupted_here)
-    with nothing_left_behind(), pytest.raises(KeyboardInterrupt):
-        verify_in_blocks(monkeypatch, 8, 2)
-
-
-def test_one_block_without_a_second_cpu_fork_or_a_lone_thread(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    expected = report_without_time(verify_bijection(7))
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: 1)
-    assert report_without_time(verify_bijection(7)) == expected
-    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: 2)
-    assert verify_bijection(6).ok  # too small to fork
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        assert report_without_time(verify_bijection(7)) == expected
-    finally:
-        stop.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    monkeypatch.delattr(os, "fork")
-    assert report_without_time(verify_bijection(7)) == expected
-
-
-@forking
-def test_block_of_a_dead_child_is_checked_again(monkeypatch):
-    parent = os.getpid()
-    expected = report_without_time(verify_bijection(8))
-
-    def dies_in_a_child(p):
-        if os.getpid() != parent:
-            os._exit(1)
-        return forward_with_case(p)
-
-    def too_slow(signum, frame):
-        raise TimeoutError("verify_bijection hung on a dead child")
-
-    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", dies_in_a_child)
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(60)
-    try:
-        with nothing_left_behind():
-            report, forks = verify_in_blocks(monkeypatch, 8, 3)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert forks == 2
-    assert report_without_time(report) == expected
+    failures = verify_bijection(7).round_trip_failures
+    assert failures[:3] == expected
+    assert len(failures) == 5 and all("is not the image" in f for f in failures[3:])
 
 
 def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
@@ -531,12 +308,11 @@ def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
     assert f"{FAULT_KEY} is not the image of any derangement" in failures
 
 
-@pytest.mark.parametrize("n, cpus, pair, text", [
-    (5, 1, (0, 1), "size=5;parents=0,1,2,3;mark=0"),
-    # the first and the last derangement lie in different blocks
-    pytest.param(7, 2, (0, -1), "size=7;parents=0,1,2,3,4,5;mark=0", marks=forking),
+@pytest.mark.parametrize("n, pair, text", [
+    (5, (0, 1), "size=5;parents=0,1,2,3;mark=0"),
+    (7, (0, -1), "size=7;parents=0,1,2,3,4,5;mark=0"),
 ])
-def test_repeated_image_with_a_bad_mark_is_recorded(n, cpus, pair, text, monkeypatch):
+def test_repeated_image_with_a_bad_mark_is_recorded(n, pair, text, monkeypatch):
     # the path's root has rank n - 1, so MarkedTree refuses it
     stream = list(gen_derangements(n))
     first, second = (stream[i] for i in pair)
@@ -544,11 +320,9 @@ def test_repeated_image_with_a_bad_mark_is_recorded(n, cpus, pair, text, monkeyp
     tag = forward_with_case(first)[1]
     monkeypatch.setattr(derangetree.enumeration, "forward_with_case",
                         lambda p: (path, tag) if p in (first, second) else forward_with_case(p))
-    report, forks = verify_in_blocks(monkeypatch, n, cpus)
-    assert forks == cpus - 1
     assert (f"{second.serialize()} and {first.serialize()} map to the same tree {text}"
-            in report.round_trip_failures)
-    assert verify_command(monkeypatch, cpus, max_size=n)[0] == 3
+            in verify_bijection(n).round_trip_failures)
+    assert run(["verify", "--max-size", str(n)]) == 3
 
 
 def test_verify_reports_a_count_mismatch(monkeypatch):
@@ -603,6 +377,8 @@ def test_verify_scan_holds_no_derangements(monkeypatch):
 
 # sha256 of `verify --max-size 8 --json` without its elapsed_seconds lines
 VERIFY_JSON_SHA256 = "e7b57dff639c14a18fd363b7865497e012c9452d69e28f0998ec4fa69fe94b71"
+# the same for `verify --max-size 9 --size-limit 9 --json`, from the brute force at 9
+VERIFY_9_JSON_SHA256 = "33178d06215149e362d467d95be3cd5f0e002e2d6491729ddc6c7172aced2d93"
 
 
 def json_digest(out):
@@ -627,146 +403,162 @@ def test_verify_command_is_clean_in_dev_mode():
     assert json_digest(proc.stdout.decode()) == VERIFY_JSON_SHA256
 
 
-@forking
-def test_verify_runs_with_sigchld_ignored(monkeypatch):
-    # with SIGCHLD ignored, as a process may inherit it across exec, the
-    # system reaps each child, and waiting for it raises ChildProcessError
-    src = os.path.dirname(os.path.dirname(derangetree.enumeration.__file__))
-    script = ("import signal, sys\n"
-              "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
-              "import derangetree.enumeration\n"
-              "from derangetree.cli import run\n"
-              "derangetree.enumeration._usable_cpus = lambda: 2\n"
-              "sys.exit(run(['verify', '--max-size', '8', '--json']))\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert proc.returncode == 0
-    assert proc.stderr == b""
-    assert json_digest(proc.stdout.decode()) == VERIFY_JSON_SHA256
-    one_block, _ = verify_in_blocks(monkeypatch, 8, 1)
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        with nothing_left_behind():
-            report, forks = verify_in_blocks(monkeypatch, 8, 2)
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert forks == 1
-    assert report_without_time(report) == report_without_time(one_block)
+def test_verify_json_report_at_9_is_golden(capsys):
+    assert run(["verify", "--max-size", "9", "--size-limit", "9", "--json"]) == 0
+    assert json_digest(capsys.readouterr().out) == VERIFY_9_JSON_SHA256
 
 
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in this process if the block runs past ``seconds``."""
-    def too_slow(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+def test_verify_forks_nothing(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("forked")
 
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert verify_bijection(9, size_limit=9).ok
+    assert run(["verify", "--max-size", "8", "--json"]) == 0
+    assert json_digest(capsys.readouterr().out) == VERIFY_JSON_SHA256
 
 
-def verify_command(monkeypatch, cpus, max_size=8):
-    """``verify --max-size max_size --json`` as if ``cpus`` CPUs were
-    usable: the exit code, stdout as ``run`` printed it, the number of
-    children forked, and the most of them alive at once."""
-    forks, reaped, most = [], [], 0
-    real_fork, real_waitpid = os.fork, os.waitpid
-
-    def counted_fork():
-        nonlocal most
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-            most = max(most, len(forks) - len(reaped))
-        return pid
-
-    def counted_waitpid(pid, options):
-        reaped.append(pid)
-        return real_waitpid(pid, options)
-
-    out = io.StringIO()
-    monkeypatch.setattr(derangetree.enumeration, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "waitpid", counted_waitpid)
-    try:
-        with contextlib.redirect_stdout(out):
-            code = run(["verify", "--max-size", str(max_size), "--json"])
-    finally:
-        monkeypatch.setattr(os, "fork", real_fork)
-        monkeypatch.setattr(os, "waitpid", real_waitpid)
-    return code, out.getvalue(), len(forks), most
-
-
-@forking
-@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
-def test_largest_size_started_first_keeps_the_golden_report(cpus, monkeypatch):
-    # n = 8 forks min(cpus, 7) - 1 children first, then n = 7 its own
-    with nothing_left_behind():
-        code, out, forks, most = verify_command(monkeypatch, cpus)
-    assert code == 0
-    assert json_digest(out) == VERIFY_JSON_SHA256
-    assert forks == most == min(cpus, 7) - 1 + min(cpus, 6) - 1
-
-
-@forking
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_at_most_two_sizes_have_children_at_once(cpus, monkeypatch):
-    monkeypatch.setattr(derangetree.enumeration, "_FORK_MIN_SIZE", 5)
-    _, expected, _, _ = verify_command(monkeypatch, 1, max_size=7)
-    with nothing_left_behind():
-        code, out, forks, most = verify_command(monkeypatch, cpus, max_size=7)
-    assert code == 0 and json_digest(out) == json_digest(expected)
-    # sizes 7, 5 and 6 fork in that order; 5's children are reaped before 6 forks
-    per_size = [min(cpus, n - 1) - 1 for n in (7, 5, 6)]
-    assert forks == sum(per_size)
-    assert most == per_size[0] + per_size[2]
-
-
-@forking
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("size", [5, 8])
-def test_no_child_outlives_a_verify_command_that_raises(size, cpus, monkeypatch):
-    # at 5, while n = 8's children run; at 8, in this process's own block.
-    # With 3 CPUs the second child holds a copy of the first one's pipe.
-    parent = os.getpid()
-
-    def interrupted_here(p):
-        if os.getpid() == parent and p.size == size:
-            raise KeyboardInterrupt
-        return forward_with_case(p)
-
-    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", interrupted_here)
-    with time_limit(60), nothing_left_behind(), pytest.raises(KeyboardInterrupt):
-        verify_command(monkeypatch, cpus)
-
-
-@forking
-def test_block_of_a_dead_child_of_the_largest_size_is_checked_again(monkeypatch):
-    parent = os.getpid()
-
-    def dies_in_a_child_of_8(p):
-        if os.getpid() != parent and p.size == 8:
-            os._exit(1)
-        return forward_with_case(p)
-
-    monkeypatch.setattr(derangetree.enumeration, "forward_with_case", dies_in_a_child_of_8)
-    with time_limit(60), nothing_left_behind():
-        code, out, forks, _ = verify_command(monkeypatch, 3)
-    assert code == 0 and forks == 4
-    assert json_digest(out) == VERIFY_JSON_SHA256
-
-
-@forking
-def test_verify_reports_add_up_to_at_most_the_wall_time(monkeypatch):
+def test_verify_reports_add_up_to_at_most_the_wall_time(capsys):
     start = time.perf_counter()
-    code, out, _, _ = verify_command(monkeypatch, 2)
+    code = run(["verify", "--max-size", "8", "--json"])
     wall = time.perf_counter() - start
     assert code == 0
-    assert sum(report["elapsed_seconds"] for report in json.loads(out)) <= wall
+    assert sum(report["elapsed_seconds"] for report in json.loads(capsys.readouterr().out)) <= wall
+
+
+# -- the walk along the derangement recurrence --
+
+def test_walk_is_forward():
+    # each node's draft and mark are forward's image of the derangement
+    # its levels rebuild, and every derangement is one node
+    for n in range(2, 8):
+        nodes = []
+
+        def record(levels, tree, mark):
+            nodes.append((_derangement(levels), tree.parent[1:n], mark, _case(tree, mark, n)))
+
+        count, failures = _walk(n, record)
+        assert failures == [] and count == len(nodes) == subfactorial(n)
+        assert sorted(p.serialize() for p, *_ in nodes) == sorted(
+            p.serialize() for p in gen_derangements(n))
+        for p, word, mark, tag in nodes:
+            mt, expected = forward_with_case(p)
+            assert (word, mark, tag) == (list(mt.tree._word()), mt.mark, expected), p
+
+
+# the top-level cases at n = 10, D(10) = 1,334,961 derangements
+CASES_AT_10 = {CaseTag.C1A: 133_496, CaseTag.C1B: 811_471, CaseTag.C1C_I: 160_610,
+               CaseTag.C1C_II: 95_887, CaseTag.C2A: 47_944, CaseTag.C2B: 85_553}
+
+
+def test_walk_case_histogram_at_10():
+    histogram = Counter()
+
+    def tally(levels, tree, mark):
+        histogram[_case(tree, mark, 10)] += 1
+
+    assert _walk(10, tally) == (subfactorial(10), [])
+    assert histogram == CASES_AT_10
+
+
+def verify_8_failures(capsys):
+    """The failure lines of ``verify --max-size 8``, which must exit 3
+    with every size below 8 ok."""
+    assert run(["verify", "--max-size", "8"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines if " derangements=" in line] == ["ok"] * 6 + ["FAIL"]
+    return [line for line in lines if " failure " in line]
+
+
+def patch_step(monkeypatch, name, stand_in):
+    # forward and inverse call bijection's binding, the walk enumeration's
+    monkeypatch.setattr(derangetree.bijection, name, stand_in)
+    monkeypatch.setattr(derangetree.enumeration, name, stand_in)
+
+
+def preimage(word, mark):
+    return inverse(MarkedTree(IncreasingTree._standard(word), mark))
+
+
+# Each fault fires once, on a level with top = 7, which the brute force
+# at 2..7 never grows or peels; the walk names the derangement of size 8.
+
+def test_walk_records_a_grow_that_keeps_the_mark(monkeypatch, capsys):
+    hit = []
+
+    def keeps_the_mark(tree, mark, levels):
+        for level in levels:
+            new = _grow(tree, mark, [level])
+            if level[0] == 7 and not level[2] and new != mark and not hit:  # C1cII
+                hit.append((tree.parent[1:8], new, mark))
+                new = mark
+            mark = new
+        return mark
+
+    patch_step(monkeypatch, "_grow", keeps_the_mark)
+    failures = verify_8_failures(capsys)
+    monkeypatch.undo()
+    word, mark, kept = hit[0]
+    assert failures == [f"n=8 failure {preimage(word, mark).serialize()}:"
+                        f" InternalInvariantError: mark {kept} has no leaf child"]
+
+
+def test_walk_records_a_peel_that_keeps_the_mark(monkeypatch, capsys):
+    hit = []
+
+    def keeps_the_mark(tree, mark, tops, splices):
+        first, *rest = tops
+        word = tree.parent[1:8]
+        new = _peel(tree, mark, [first], splices)
+        if first == 7 and new != mark and not splices[-1][2] and not hit:  # C1cII
+            hit.append((word, mark, new))
+            new = mark
+        return _peel(tree, new, rest, splices)
+
+    patch_step(monkeypatch, "_peel", keeps_the_mark)
+    failures = verify_8_failures(capsys)
+    monkeypatch.undo()
+    word, mark, old = hit[0]
+    level = (7, mark, False)
+    assert failures == [f"n=8 failure {preimage(word, mark).serialize()}:"
+                        f" InternalInvariantError: peeling 7 gave [{level}] and mark {mark},"
+                        f" not [{level}] and mark {old}"]
+
+
+def test_walk_records_a_peel_that_leaves_a_wrong_leaf_count(monkeypatch, capsys):
+    hit = []
+
+    def miscounts(tree, mark, tops, splices):
+        tops = list(tops)
+        word = tree.parent[1:8]
+        new = _peel(tree, mark, tops, splices)
+        if tops[0] == 7 and not hit:
+            hit.append((word, mark))
+            tree.leaves[0] += 1
+        return new
+
+    patch_step(monkeypatch, "_peel", miscounts)
+    failures = verify_8_failures(capsys)
+    monkeypatch.undo()
+    assert failures == [f"n=8 failure {preimage(*hit[0]).serialize()}:"
+                        " InternalInvariantError: peeling 7 did not restore the tree"]
+
+
+def test_walk_records_a_peel_that_raises(monkeypatch, capsys):
+    hit = []
+
+    def raises(tree, mark, tops, splices):
+        tops = list(tops)
+        if tops[0] == 7 and not hit:
+            hit.append((tree.parent[1:8], mark))
+            raise InternalInvariantError("injected")
+        return _peel(tree, mark, tops, splices)
+
+    patch_step(monkeypatch, "_peel", raises)
+    failures = verify_8_failures(capsys)
+    monkeypatch.undo()
+    assert failures == [f"n=8 failure {preimage(*hit[0]).serialize()}:"
+                        " InternalInvariantError: injected"]
 
 
 def test_report_text_and_dict():

@@ -2,7 +2,8 @@
 private module-level name (``_x``) is read somewhere in the package, only
 ``trees.py`` touches how an ``IncreasingTree`` stores itself, only the
 draft's constructor and the two level loops of ``bijection.py`` change
-its leaf counts, and every module parses as the oldest Python that
+its leaf counts, ``enumeration.py`` changes a draft only through those
+three, and every module parses as the oldest Python that
 ``pyproject.toml`` admits, 3.10.
 
 ``__init__.py`` is left out of the import check: it imports names to
@@ -17,6 +18,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "derangetree"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREE_LAYOUT = {"_parent", "_parent_word", "_children", "_labels"}
+DRAFT_FIELDS = ("parent", "children", "leaves")
+# the draft edits of bijection.py other than _grow and _peel
+DRAFT_EDITS = {"move", "replace", "_restructure", "_undo_restructure"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -68,12 +72,19 @@ def layout_reads(source: str) -> list[str]:
             for node in sorted(uses, key=lambda node: (node.lineno, node.col_offset))]
 
 
-def leaf_count_writers(source: str) -> list[str]:
-    """The functions in ``source``, by qualified name, that store into a
-    leaf count: ``leaves[...]`` or ``<x>.leaves[...]`` as the target of an
-    assignment or an augmented assignment such as ``+=``.  ``<module>``
-    stands for a store outside any function."""
+def draft_writers(source: str, fields=("leaves",)) -> list[str]:
+    """The functions in ``source``, by qualified name, that change an item
+    of one of the draft's ``fields``: store into ``<field>[...]`` or
+    ``<x>.<field>[...]``, as the target of an assignment or an augmented
+    assignment such as ``+=``, or call a method on such an item, as
+    ``children[v].add(top)`` does.  ``<module>`` stands for a change
+    outside any function."""
     writers = set()
+
+    def is_item(node):
+        return isinstance(node, ast.Subscript) and (
+            isinstance(node.value, ast.Name) and node.value.id in fields
+            or isinstance(node.value, ast.Attribute) and node.value.attr in fields)
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -86,15 +97,21 @@ def leaf_count_writers(source: str) -> list[str]:
                 targets = [child.target]
             else:
                 targets = []
-            if any(isinstance(t, ast.Subscript) and (
-                       isinstance(t.value, ast.Name) and t.value.id == "leaves"
-                       or isinstance(t.value, ast.Attribute) and t.value.attr == "leaves")
-                   for target in targets for t in ast.walk(target)):
+            if (any(is_item(t) for target in targets for t in ast.walk(target))
+                    or isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and is_item(child.func.value)):
                 writers.add(scope)
             visit(child, scope)
 
     visit(ast.parse(source), "<module>")
     return sorted(writers)
+
+
+def called_names(source: str) -> set[str]:
+    """The names that ``source`` calls, as ``f(...)`` or ``x.f(...)``."""
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))}
 
 
 def test_modules_found():
@@ -147,10 +164,19 @@ def test_layout_read_is_caught():
 
 
 def test_leaf_counts_change_only_in_the_draft_and_the_level_loops():
-    # forward_with_case, inverse and any later walk run the levels through
-    # _grow and _peel, not through a copy of their bodies
+    # forward_with_case, inverse and the verifier's walk run the levels
+    # through _grow and _peel, not through a copy of their bodies
     source = (PACKAGE / "bijection.py").read_text()
-    assert leaf_count_writers(source) == ["_Draft.__init__", "_grow", "_peel"]
+    assert draft_writers(source) == ["_Draft.__init__", "_grow", "_peel"]
+
+
+def test_the_walk_changes_drafts_only_through_the_level_steps():
+    # enumeration.py builds drafts with _Draft(...) and changes them with
+    # _grow and _peel alone, so the walk checks the shipped level code
+    source = (PACKAGE / "enumeration.py").read_text()
+    assert draft_writers(source, DRAFT_FIELDS) == []
+    assert called_names(source) & DRAFT_EDITS == set()
+    assert called_names(source) >= {"_Draft", "_grow", "_peel"}
 
 
 def test_leaf_count_write_is_caught():
@@ -167,7 +193,25 @@ def test_leaf_count_write_is_caught():
               "LEAVES = {}\n"
               "LEAVES[0] = leaves = [1]\n"
               "leaves[0] -= 1\n")
-    assert leaf_count_writers(source) == ["<module>", "forward", "inverse.step"]
+    assert draft_writers(source) == ["<module>", "forward", "inverse.step"]
+
+
+def test_draft_write_is_caught():
+    source = ("def hang(tree, top, x):\n"
+              "    tree.children[x].add(top)\n"
+              "def unhang(children, top, x):\n"
+              "    children[x].discard(top)\n"
+              "def reparent(tree, v, p):\n"
+              "    parent = tree.parent\n"
+              "    parent[v] = p\n"
+              "def reads(tree, v):\n"
+              "    return len(tree.children[v]), tree.parent[v], set(tree.children[v])\n"
+              "def edits(tree, v):\n"
+              "    tree.move(v, 0)\n"
+              "    _restructure(tree, v, 1)\n")
+    assert draft_writers(source, DRAFT_FIELDS) == ["hang", "reparent", "unhang"]
+    assert draft_writers(source) == []
+    assert called_names(source) & DRAFT_EDITS == {"move", "_restructure"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
