@@ -308,10 +308,11 @@ def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
     assert f"{FAULT_KEY} is not the image of any derangement" in failures
 
 
+# the ids keep the names these cases had when they also took a CPU count
 @pytest.mark.parametrize("n, pair, text", [
     (5, (0, 1), "size=5;parents=0,1,2,3;mark=0"),
     (7, (0, -1), "size=7;parents=0,1,2,3,4,5;mark=0"),
-])
+], ids=["5-1-pair0-size=5;parents=0,1,2,3;mark=0", "7-2-pair1-size=7;parents=0,1,2,3,4,5;mark=0"])
 def test_repeated_image_with_a_bad_mark_is_recorded(n, pair, text, monkeypatch):
     # the path's root has rank n - 1, so MarkedTree refuses it
     stream = list(gen_derangements(n))
