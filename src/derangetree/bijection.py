@@ -77,6 +77,9 @@ class CaseTag(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    # members are singletons compared by identity; Enum's hash is Python code
+    __hash__ = object.__hash__
+
 
 # read as globals by _case, _classify and _peel: ``CaseTag.C1A`` is a slow metaclass hook
 BASE2, BASE3, C1A, C1B, C1C_I, C1C_II, C2A, C2B = CaseTag

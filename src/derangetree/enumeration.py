@@ -331,8 +331,9 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     * A node's draft is a function of its marked tree.  The walk takes
       this from ``_Draft``'s invariant, that the child sets and leaf
       counts are those of the parent word, which its constructor,
-      ``_grow`` and ``_peel`` keep; deriving them again at each node of
-      size n would take about 70% more time at n = 9.
+      ``_grow`` and ``_peel`` keep; deriving them again from the parent
+      word and comparing at each node of size n would take about 65% more
+      CPU time at n = 9 (best of 5).
     * ``forward`` is injective.  At every node ``_peel``, a function of the
       draft and the mark, gives back the level and the parent's draft and
       mark, shifted back for C2.  So two nodes of one size with one image
@@ -380,10 +381,10 @@ def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Verificati
     )
 
 
-# The walk checks the sizes from 8 up: at 8 it takes 0.11 s of CPU, the
-# brute force 0.50 s.  The brute force takes 0.05-0.06 s for all of 2..7
-# and is the one check of the public functions end to end, so it keeps the
-# sizes below (best of 5, 2-core machine, Python 3.11.7).
+# The walk checks the sizes from 8 up: at 8 it takes 0.07 s of CPU, the
+# brute force 0.27 s.  The brute force takes 0.04 s for all of 2..7 and is
+# the one check of the public functions end to end, so it keeps the sizes
+# below (CPU time, best of 5, 2-core machine, Python 3.11.7).
 _WALK_MIN_SIZE = 8
 
 
@@ -485,16 +486,13 @@ def _walk(n: int, visit: Callable[[list[_Level], _Draft, int], None]) -> tuple[i
         if top + 1 == n:
             count += 1
         draft, old, labels = tree, mark, range(m)
-        if paired:
-            def up(v: int) -> int:
-                return v + (v >= x)
-
-            draft = _Draft(n, up(0), ((up(v), up(u)) for v, u in enumerate(state[0][1:], 1)))
-            old, labels = up(mark), [*range(x), *range(x + 1, m + 1)]
-            state = _state(draft, labels)
+        if paired:  # labels[v] = v + (v >= x) for v in 0..m-1: the shift
+            labels = [*range(x), *range(x + 1, m + 1)]
+            draft = _Draft(n, labels[0], zip(labels[1:], map(labels.__getitem__, state[0][1:])))
+            old, state = labels[mark], _state(draft, labels)
         new = _grow(draft, old, [level])
         children = draft.children
-        if all(children[c] for c in children[new]):
+        if all(map(children.__getitem__, children[new])):
             raise InternalInvariantError(f"mark {new} has no leaf child")
         if top + 1 == n:
             visit(levels, draft, new)
@@ -505,7 +503,7 @@ def _walk(n: int, visit: Callable[[list[_Level], _Draft, int], None]) -> tuple[i
         if splices != [level] or back != old:
             raise InternalInvariantError(
                 f"peeling {top} gave {splices} and mark {back}, not {[level]} and mark {old}")
-        if _state(draft, labels) != state:
+        if _view(draft, labels) != state:
             raise InternalInvariantError(f"peeling {top} did not restore the tree")
         return tree if paired else draft
 
@@ -520,9 +518,22 @@ def _walk(n: int, visit: Callable[[list[_Level], _Draft, int], None]) -> tuple[i
 
 def _state(tree: _Draft, labels: Iterable[int]) -> tuple[tuple, tuple, tuple]:
     """The parents, copies of the child sets and the leaf counts of
-    ``labels``, at least two, in ``tree``."""
+    ``labels``, at least two, in ``tree``: ``_walk``'s snapshot of a node,
+    which its restore check compares with the live ``_view`` after a peel.
+
+    The walk changes the child sets in place below the node, so the
+    snapshot must copy them: holding them, it would compare each set with
+    itself.  The view is compared once and dropped, so it copies nothing.
+    """
+    parents, children, leaves = _view(tree, labels)
+    return parents, tuple(map(set, children)), leaves
+
+
+def _view(tree: _Draft, labels: Iterable[int]) -> tuple[tuple, tuple, tuple]:
+    """The parents, the live child sets and the leaf counts of ``labels``,
+    at least two, in ``tree``."""
     get = operator.itemgetter(*labels)
-    return get(tree.parent), tuple(map(set, get(tree.children))), get(tree.leaves)
+    return get(tree.parent), get(tree.children), get(tree.leaves)
 
 
 def _derangement(levels: list[_Level]) -> CycleDecomposition:

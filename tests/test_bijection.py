@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +81,16 @@ def test_golden_map_digest():
 @pytest.mark.parametrize("cycles,tag", CLASSIFY_EXAMPLES)
 def test_classify_derangement_examples(cycles, tag):
     assert classify_derangement(parse_cycles(cycles)) == tag
+
+
+@pytest.mark.parametrize("tag", list(CaseTag))
+def test_case_tags_hash_by_identity_soundly(tag):
+    # CaseTag hashes by identity, so every way back to a member must give
+    # the member itself, and find its entry in a dict keyed by members
+    entries = {t: t.value for t in CaseTag}
+    for same in (CaseTag(tag.value), pickle.loads(pickle.dumps(tag)), copy.deepcopy(tag)):
+        assert same is tag
+        assert entries[same] == tag.value
 
 
 def test_classify_derangement_bases():

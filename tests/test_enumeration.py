@@ -526,19 +526,35 @@ def test_walk_records_a_peel_that_keeps_the_mark(monkeypatch, capsys):
                         f" not [{level}] and mark {old}"]
 
 
-def test_walk_records_a_peel_that_leaves_a_wrong_leaf_count(monkeypatch, capsys):
+def miscount(tree):
+    tree.leaves[0] += 1
+
+
+def misparent(tree):
+    tree.parent[1] += 1
+
+
+def stray_child(tree):
+    # 7 is off the tree after the peel; a snapshot holding the live child
+    # sets instead of copies would see the stray too and miss the fault
+    tree.children[0].add(7)
+
+
+@pytest.mark.parametrize("fault", [miscount, misparent, stray_child],
+                         ids=["leaf-count", "parent", "child-set"])
+def test_walk_records_a_peel_that_does_not_restore_the_tree(monkeypatch, capsys, fault):
     hit = []
 
-    def miscounts(tree, mark, tops, splices):
+    def damages(tree, mark, tops, splices):
         tops = list(tops)
         word = tree.parent[1:8]
         new = _peel(tree, mark, tops, splices)
         if tops[0] == 7 and not hit:
             hit.append((word, mark))
-            tree.leaves[0] += 1
+            fault(tree)
         return new
 
-    patch_step(monkeypatch, "_peel", miscounts)
+    patch_step(monkeypatch, "_peel", damages)
     failures = verify_8_failures(capsys)
     monkeypatch.undo()
     assert failures == [f"n=8 failure {preimage(*hit[0]).serialize()}:"
