@@ -43,8 +43,9 @@ EXIT_VERIFY = 3
 # Size ceilings of the stats commands, checked before any work.  The rank
 # tables count exactly in O(max_size^2 k) steps; the slowest k at 300
 # takes about 2 s.  ``stats cases`` still classifies every one of the
-# D(size) derangements, 133,496 (2–2.5 s on a 2-core machine, Python 3.11)
-# at 9 and ten times that at 10.
+# D(size) derangements, 133,496 at 9 (about 1.4 s of wall time for the
+# command, best of 5, 2-core machine, Python 3.11.7) and ten times that
+# at 10.
 STATS_SIZE_LIMIT = 300
 CASES_SIZE_LIMIT = 9
 

@@ -269,43 +269,15 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _key(mt: MarkedTree) -> tuple[int, ...] | str:
-    """What ``verify_bijection`` compares images by: on 0..n-1 the parent
-    word (parent of 1, ..., parent of n-1) followed by the mark, else the
-    text, which only a faulty ``forward`` can give.
-
-    The tuple holds what the text spells out and its length gives n, so
-    two marked trees share a key only when they are equal; no text equals
-    a tuple.  The word is the one ``serialize`` spells out, so a broken
-    parent map raises the same error.
-    """
-    tree = mt.tree
-    if not tree.is_standard:
-        return mt.serialize()
-    return (*tree._word(), mt.mark)
-
-
-def _text(key: tuple[int, ...] | str) -> str:
-    """The text of the marked tree that ``key`` names (see ``_key``).
-
-    Built without ``MarkedTree``'s checks: the key of a repeated image
-    comes from a faulty ``forward``, and its mark may have no leaf child
-    or lie outside the tree, yet its text must name it in the failure.
-    """
-    if isinstance(key, str):
-        return key
-    return MarkedTree._trusted(IncreasingTree._standard(key[:-1]), key[-1]).serialize()
-
-
 def verify_bijection(n: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> VerificationReport:
     """Exhaustively check the bijection at size n, in this process.
 
     Below ``_WALK_MIN_SIZE`` the check is a brute force over the public
     functions (``_brute_force``): every derangement p is mapped forward,
-    its image keyed (``_key``) and mapped back, and a scan of the marked
-    trees checks that each is an image.  The image keys are distinct, one
-    per derangement, and they include the key of each of the marked trees
-    of size n, which are as many as the derangements.  So the image keys
+    its image keyed and mapped back, and a scan of the marked trees checks
+    that each is an image.  The image keys are distinct, one per
+    derangement, and they include the key of each of the marked trees of
+    size n, which are as many as the derangements.  So the image keys
     are exactly the keys of the marked trees.  A key, on 0..n-1 the parent
     word and the mark, is the whole marked tree, and an image's state is
     derived from its parent word alone, so each image is the marked tree
@@ -393,10 +365,19 @@ def _brute_force(n: int, histogram: Counter[CaseTag]) -> tuple[int, int, list[st
     the cases into ``histogram``, then scan the marked trees; return the
     two counts and the failures, in derangement order, then scan order.
 
+    An image's key is, on 0..n-1, its parent word (the parents of 1, ...,
+    n-1) followed by its mark, else its text, which only a faulty
+    ``forward`` can give.  The tuple holds what the text spells out and
+    its length gives n, so two marked trees share a key only when they
+    are equal; no text equals a tuple.  The word is the one ``serialize``
+    spells out, so a broken parent map raises the same error.
+
     ``image`` keeps each key's derangement number, not the derangement;
     the first repeated image re-enumerates the derangements once, to name
-    the earlier one.  The scan walks parent words and builds no tree, and
-    text is made only for a failure.
+    the earlier one.  The repeated image itself is named by its own text:
+    it has the repeated key, and a key names one marked tree.  The scan
+    walks parent words and builds a tree only to name one that no
+    derangement reaches; text is made only for a failure.
     """
     failures: list[str] = []
     image: dict[tuple[int, ...] | str, int] = {}
@@ -407,7 +388,8 @@ def _brute_force(n: int, histogram: Counter[CaseTag]) -> tuple[int, int, list[st
         try:
             mt, tag = forward_with_case(p)
             histogram[tag] += 1
-            key = _key(mt)
+            tree = mt.tree
+            key = (*tree._word(), mt.mark) if tree.is_standard else mt.serialize()
             back = inverse(mt)
             if back != p:
                 text = f"inverse(forward({p.serialize()})) = {back.serialize()}"
@@ -417,7 +399,7 @@ def _brute_force(n: int, histogram: Counter[CaseTag]) -> tuple[int, int, list[st
             if derangements is None:
                 derangements = list(gen_derangements(n))
             failures.append(f"{p.serialize()} and {derangements[image[key] - 1].serialize()}"
-                            f" map to the same tree {_text(key)}")
+                            f" map to the same tree {mt.serialize()}")
         if text:
             failures.append(text)
     marked_count = 0
@@ -425,7 +407,9 @@ def _brute_force(n: int, histogram: Counter[CaseTag]) -> tuple[int, int, list[st
         for v in marks:
             marked_count += 1
             if (*word, v) not in image:
-                failures.append(f"{_text((*word, v))} is not the image of any derangement")
+                # only serialized, which ``_trusted`` allows; ``_marked_words`` gives valid words
+                missed = MarkedTree._trusted(IncreasingTree._standard(word), v)
+                failures.append(f"{missed.serialize()} is not the image of any derangement")
     return count, marked_count, failures
 
 

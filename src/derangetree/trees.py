@@ -37,8 +37,8 @@ class IncreasingTree:
     presentation, never tree structure.
 
     A tree keeps its sorted labels and its parent word, a list.  The child
-    index and the rank table are built on the first read that needs them;
-    ``in``, ``parent_of``, ``leaves`` and ``has_leaf_child`` read the word.
+    index is built on the first read that needs it; ``in``, ``parent_of``,
+    ``leaves`` and ``has_leaf_child`` read the word.
 
     >>> t = IncreasingTree({1: 0, 2: 0, 3: 1, 4: 0, 5: 4, 6: 2, 7: 4})
     >>> t.depth_search_walk()
@@ -49,7 +49,7 @@ class IncreasingTree:
     [3, 5, 6, 7]
     """
 
-    __slots__ = ("_labels", "_parent_word", "_children", "_ranks")
+    __slots__ = ("_labels", "_parent_word", "_children")
 
     def __init__(self, parent: Mapping[int, int], labels: Iterable[int] | None = None):
         index = operator.index
@@ -101,7 +101,7 @@ class IncreasingTree:
     def _store(self, labels: tuple[int, ...], word: list[int]) -> None:
         """Keep ``labels`` and the parent word ``word``, for both constructors."""
         self._labels, self._parent_word = labels, word
-        self._children = self._ranks = None  # the child index and rank table, built on use
+        self._children = None  # the child index, built on use
 
     def _index(self) -> dict[int, list[int]]:
         """The ascending child lists, built on first use."""
@@ -166,18 +166,16 @@ class IncreasingTree:
         """Edge count of a shortest downward path from ``v`` to a leaf.
 
         Leaves have rank 0; ``rank(v) == 1`` exactly when ``v`` has a leaf
-        child.  The full table is computed once per tree and cached.
+        child.  Read off the child index one level down at a time, until a
+        level holds a leaf.
         """
         self._require(v)
-        if self._ranks is None:
-            ranks: dict[int, int] = {}
-            children = self._index()
-            # children carry larger labels, so descending order fills them first
-            for x in reversed(self._labels):
-                ch = children[x]
-                ranks[x] = 1 + min(ranks[c] for c in ch) if ch else 0
-            self._ranks = ranks
-        return self._ranks[v]
+        children = self._index()
+        level, depth = [v], 0
+        while all(map(children.__getitem__, level)):  # no leaf on this level
+            level = [c for x in level for c in children[x]]
+            depth += 1
+        return depth
 
     def has_leaf_child(self, v: int) -> bool:
         """True when some child of ``v`` is a leaf, which is exactly when

@@ -32,7 +32,7 @@ from derangetree import (
 )
 from derangetree.bijection import _case, _grow, _peel
 from derangetree.cli import run
-from derangetree.enumeration import _derangement, _key, _marked_words, _walk
+from derangetree.enumeration import _derangement, _marked_words, _walk
 from util import (
     assert_matches_validated,
     brute_rank_count,
@@ -109,7 +109,7 @@ def test_marked_stream_order():
 def test_marked_words_are_the_marked_trees():
     for n in range(1, 9):
         keys = {(*w, v) for w, vs in _marked_words(n) for v in vs}
-        assert keys == {_key(mt) for mt in gen_marked_trees(n)}
+        assert keys == {(*mt.tree._word(), mt.mark) for mt in gen_marked_trees(n)}
         if n >= 2:
             assert len(keys) == count_rank_k(n, 1)
 
@@ -299,13 +299,25 @@ def test_failures_come_in_derangement_order(monkeypatch):
 def test_verify_keys_an_image_off_the_ground_set_by_its_text(monkeypatch):
     # a valid marked tree on {0, 1, 2, 3, 5}: its key is its text, and inverse refuses it
     off = MarkedTree(IncreasingTree({1: 0, 2: 0, 3: 1, 5: 3}, labels=[0, 1, 2, 3, 5]), 0)
-    assert _key(off) == off.serialize()
     tag = forward_with_case(FIRST)[1]
     monkeypatch.setattr(derangetree.enumeration, "forward_with_case",
                         lambda p: (off, tag) if p == FIRST else forward_with_case(p))
     failures = verify_bijection(FAULT_N).round_trip_failures
     assert f"{FIRST.serialize()}: DomainError: inverse needs ground set 0..n-1" in failures
     assert f"{FAULT_KEY} is not the image of any derangement" in failures
+
+
+def test_verify_names_a_repeated_image_off_the_ground_set_by_its_text(monkeypatch):
+    # FIRST and SECOND both map to one tree on {0, 1, 2, 3, 5}, keyed by its text
+    off = MarkedTree(IncreasingTree({1: 0, 2: 0, 3: 1, 5: 3}, labels=[0, 1, 2, 3, 5]), 0)
+    tag = forward_with_case(FIRST)[1]
+    monkeypatch.setattr(derangetree.enumeration, "forward_with_case",
+                        lambda p: (off, tag) if p in (FIRST, SECOND) else forward_with_case(p))
+    failures = verify_bijection(FAULT_N).round_trip_failures
+    assert (f"{SECOND.serialize()} and {FIRST.serialize()} map to the same tree {off.serialize()}"
+            in failures)
+    for p in (FIRST, SECOND):
+        assert f"{p.serialize()}: DomainError: inverse needs ground set 0..n-1" in failures
 
 
 # the ids keep the names these cases had when they also took a CPU count
@@ -378,7 +390,7 @@ def test_verify_scan_holds_no_derangements(monkeypatch):
 
 # sha256 of `verify --max-size 8 --json` without its elapsed_seconds lines
 VERIFY_JSON_SHA256 = "e7b57dff639c14a18fd363b7865497e012c9452d69e28f0998ec4fa69fe94b71"
-# the same for `verify --max-size 9 --size-limit 9 --json`, from the brute force at 9
+# the same for `verify --max-size 9 --size-limit 9 --json`, from the walk at 9
 VERIFY_9_JSON_SHA256 = "33178d06215149e362d467d95be3cd5f0e002e2d6491729ddc6c7172aced2d93"
 
 
